@@ -34,16 +34,6 @@ from .stieltjes import (
     negative_differential,
     rate_step_function,
 )
-from .contlab import (
-    AreaConsistency,
-    JumpCertificate,
-    LaplaceTieModel,
-    area_consistency_check,
-    fpr_of_threshold,
-    jump_certificate,
-    likelihood_ratio,
-    tpr_of_threshold,
-)
 from .cli import (
     IdentityError,
     ParseError,
@@ -57,6 +47,17 @@ from .cli import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Only contlab's names get here, as all others are bound above. contlab
+    # needs numpy and scipy, so it loads on first use.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import contlab
+
+    return getattr(contlab, name)
+
 
 __all__ = [
     "AreaConsistency",

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Literal
 
 from .core import Dataset, DegenerateClassesError, Rational, dataset_from_pairs
@@ -29,10 +30,8 @@ from .pairwise import (
 )
 from .roc import RocCurve, auc_trapezoid, roc_curve
 from .stieltjes import integrate, negative_differential, rate_step_function
-from .contlab import LaplaceTieModel, area_consistency_check, jump_certificate
 
-_POSITIVE_LABELS = {"1", "pos", "true"}
-_NEGATIVE_LABELS = {"0", "neg", "false"}
+_LABELS = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "false": False}
 
 
 class ParseError(ValueError):
@@ -44,7 +43,7 @@ class ParseError(ValueError):
 
 
 class IdentityError(RuntimeError):
-    """An exact identity the implementation guarantees failed to hold."""
+    """An exact identity failed; the message names the stage and both exact sides."""
 
 
 @dataclass(frozen=True)
@@ -60,31 +59,25 @@ class RocReport:
     n_neg: int
 
     def __post_init__(self) -> None:
-        _require(
-            self.auc - self.pair_probability == self.tie.correction,
+        _require_equal(
+            "RocReport",
             "area minus pair probability must equal the tie correction",
+            self.auc - self.pair_probability,
+            self.tie.correction,
         )
         no_ties = not self.tie.shared_scores
-        _require(
-            self.hypothesis_holds == no_ties
-            and no_ties == (self.auc == self.pair_probability),
-            "no-tie condition, empty tie inventory, and area = probability "
-            "must coincide",
-        )
+        if not (self.hypothesis_holds == no_ties == (self.auc == self.pair_probability)):
+            raise IdentityError(
+                "RocReport: no-tie condition, empty tie inventory, and area = "
+                f"probability must coincide: hypothesis_holds {self.hypothesis_holds}, "
+                f"{len(self.tie.shared_scores)} shared scores, "
+                f"{_frac(self.auc)} vs {_frac(self.pair_probability)}"
+            )
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise IdentityError(message)
-
-
-def _parse_label(text: str) -> bool | None:
-    token = text.strip().lower()
-    if token in _POSITIVE_LABELS:
-        return True
-    if token in _NEGATIVE_LABELS:
-        return False
-    return None
+def _require_equal(stage: str, identity: str, left: Rational, right: Rational) -> None:
+    if left != right:
+        raise IdentityError(f"{stage}: {identity}: {_frac(left)} vs {_frac(right)}")
 
 
 def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
@@ -97,6 +90,7 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
     """
     delimiter = "," if fmt == "csv" else "\t"
     pairs: list[tuple[Fraction, bool]] = []
+    parse_score = cache(Fraction)  # once per distinct text; equal texts share one object
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     first_data_row = True
     for row in reader:
@@ -106,9 +100,9 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
         if len(row) != 2:
             raise ParseError(line, f"expected 2 fields, got {len(row)}")
         score_text, label_text = row[0].strip(), row[1].strip()
-        label = _parse_label(label_text)
+        label = _LABELS.get(label_text.lower())
         try:
-            value = Fraction(score_text)
+            value = parse_score(score_text)
         except (ValueError, ZeroDivisionError):
             if first_data_row and label is None:
                 first_data_row = False  # header line
@@ -130,14 +124,11 @@ def run_report(d: Dataset) -> RocReport:
 
     tpr_step = rate_step_function(d, "positive")
     neg_rate_diff = negative_differential(rate_step_function(d, "negative"))
-    _require(
-        integrate("balanced", tpr_step, neg_rate_diff) == auc,
-        "balanced Stieltjes integral must equal the trapezoid area",
-    )
-    _require(
-        integrate("right", tpr_step, neg_rate_diff) == pair,
-        "right-limit Stieltjes integral must equal the pair probability",
-    )
+    for variant, target, identity in (
+        ("balanced", auc, "balanced Stieltjes integral must equal the trapezoid area"),
+        ("right", pair, "right-limit Stieltjes integral must equal the pair probability"),
+    ):
+        _require_equal("run_report", identity, integrate(variant, tpr_step, neg_rate_diff), target)
 
     return RocReport(
         auc=auc,
@@ -316,26 +307,29 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(args: argparse.Namespace) -> Dataset:
+    # utf-8-sig drops a byte order mark, which would otherwise glue onto the first score.
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
+        return parse_input(fh.read(), args.format)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = run_report(parse_input(_read(args.input), args.format))
+    report = run_report(_load(args))
     sys.stdout.write(emit_report(report, args.output))
     return 0
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    d = parse_input(_read(args.input), args.format)
-    svg = emit_curve_svg(roc_curve(d), args.width)
+    svg = emit_curve_svg(roc_curve(_load(args)), args.width)
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
 
 
 def _cmd_contlab(args: argparse.Namespace) -> int:
+    # Imported here: contlab needs numpy and scipy, which nothing else loads.
+    from .contlab import LaplaceTieModel, area_consistency_check, jump_certificate
+
     try:
         model = LaplaceTieModel(args.epsilon)
         cert = jump_certificate(model, args.delta)
@@ -354,9 +348,8 @@ def _cmd_contlab(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    d = parse_input(_read(args.input), args.format)
     failures = 0
-    for name, ok, detail in identity_suite(d):
+    for name, ok, detail in identity_suite(_load(args)):
         print(f"{'ok  ' if ok else 'FAIL'}  {name} ({detail})")
         failures += not ok
     if failures:
@@ -409,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace], int] = args.func
     try:
         return handler(args)
-    except ParseError as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DegenerateClassesError as e:

@@ -9,10 +9,12 @@ decided by exact score equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 # Exact reduced fraction with positive denominator; equality is decidable.
 Rational = Fraction
@@ -53,6 +55,14 @@ def score(value: Score | int | str) -> Score:
     return Fraction(str(value))
 
 
+class CountTable(NamedTuple):
+    """Distinct scores ascending; pos[k] positives and neg[k] negatives attain scores[k]."""
+
+    scores: tuple[Score, ...]
+    pos: tuple[int, ...]
+    neg: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Finite observation set: scores plus positive/negative labels.
@@ -77,21 +87,42 @@ class Dataset:
     def negatives(self) -> tuple[Score, ...]:
         return tuple(s for s, pos in self.observations if not pos)
 
-    @property
+    @cached_property
     def n_pos(self) -> int:
-        return len(self.positives)
+        return sum(self.counts.pos)
 
-    @property
+    @cached_property
     def n_neg(self) -> int:
-        return len(self.negatives)
+        return sum(self.counts.neg)
 
     def __len__(self) -> int:
         return len(self.observations)
 
-    @cached_property
+    @property
     def distinct_scores(self) -> tuple[Score, ...]:
         """All attained scores, deduplicated, ascending."""
-        return tuple(sorted({s for s, _ in self.observations}))
+        return self.counts.scores
+
+    @cached_property
+    def counts(self) -> CountTable:
+        """The per-score class counts every exact quantity is computed from.
+
+        Observations are tallied per score object first, hashing ints where
+        hashing a Fraction is slow; then the distinct objects merge by value.
+        """
+        scores, labels = zip(*self.observations)
+        objects = dict(zip(map(id, scores), scores))
+        merged: dict[Score, list] = {}
+        for (i, is_pos), c in Counter(zip(map(id, scores), labels)).items():
+            s = objects[i]
+            merged.setdefault(s, [s, 0, 0])[1 if is_pos else 2] += c
+        rows = list(merged.values())
+        try:  # a cheap presort by float leaves the exact sort little to reorder
+            rows.sort(key=lambda row: float(row[0]))
+        except OverflowError:
+            pass
+        rows.sort(key=itemgetter(0))
+        return CountTable(*zip(*rows))
 
 
 def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Dataset:

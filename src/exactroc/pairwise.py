@@ -9,7 +9,6 @@ reported as first-class values.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -53,57 +52,46 @@ class TieReport:
 def pair_probability_bruteforce(d: Dataset) -> Rational:
     """Count strictly concordant pairs by explicit double loop.
 
-    Deliberately naive; this is the oracle the fast path is checked against.
+    Deliberately naive, and reads only the raw observations; this is the
+    oracle the count-table path is checked against.
     """
     wins = 0
     for p in d.positives:
         for q in d.negatives:
             if p > q:
                 wins += 1
-    return Fraction(wins, d.n_pos * d.n_neg)
+    return Fraction(wins, len(d.positives) * len(d.negatives))
 
 
 def pair_probability_fast(d: Dataset) -> Rational:
-    """Same value as the brute-force count in O(n log n).
+    """Same value as the brute-force count, from one sweep down the count table.
 
-    Sort the positive scores once; each negative then contributes the number
-    of positives strictly above it, found by bisection. Ties contribute zero.
+    The negatives at each score lose to every positive strictly above it; ties
+    add zero. O(n) plus O(d log d) for d distinct scores (the table), then O(d).
     """
-    pos = sorted(d.positives)
-    wins = sum(len(pos) - bisect_right(pos, q) for q in d.negatives)
+    t = d.counts
+    wins = pos_above = 0
+    for p, n in zip(reversed(t.pos), reversed(t.neg)):
+        wins += n * pos_above
+        pos_above += p
     return Fraction(wins, d.n_pos * d.n_neg)
 
 
 def hypothesis_holds(d: Dataset) -> bool:
     """True iff no score is attained by both classes."""
-    return not (set(d.positives) & set(d.negatives))
+    return not any(p and n for p, n in zip(d.counts.pos, d.counts.neg))
 
 
 def tie_report(d: Dataset) -> TieReport:
-    pos_counts: dict[Score, int] = {}
-    neg_counts: dict[Score, int] = {}
-    for s in d.positives:
-        pos_counts[s] = pos_counts.get(s, 0) + 1
-    for s in d.negatives:
-        neg_counts[s] = neg_counts.get(s, 0) + 1
-
-    shared = []
-    half_sum = Fraction(0)
-    b_pos = 0
-    b_neg = 0
-    for s in sorted(set(pos_counts) & set(neg_counts)):
-        pos_mass = Fraction(pos_counts[s], d.n_pos)
-        neg_mass = Fraction(neg_counts[s], d.n_neg)
-        shared.append(SharedScore(s, pos_mass, neg_mass))
-        half_sum += pos_mass * neg_mass
-        b_pos += pos_counts[s]
-        b_neg += neg_counts[s]
-
-    b_given_p = Fraction(b_pos, d.n_pos)
-    b_given_n = Fraction(b_neg, d.n_neg)
+    t = d.counts
+    shared = [(s, p, n) for s, p, n in zip(t.scores, t.pos, t.neg) if p and n]
+    b_given_p = Fraction(sum(p for _, p, _ in shared), d.n_pos)
+    b_given_n = Fraction(sum(n for _, _, n in shared), d.n_neg)
     return TieReport(
-        shared_scores=tuple(shared),
-        correction=half_sum / 2,
+        shared_scores=tuple(
+            SharedScore(s, Fraction(p, d.n_pos), Fraction(n, d.n_neg)) for s, p, n in shared
+        ),
+        correction=Fraction(sum(p * n for _, p, n in shared), 2 * d.n_pos * d.n_neg),
         bound=(b_given_p + b_given_n) / 4,
         b_given_p=b_given_p,
         b_given_n=b_given_n,

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import sub
 from typing import NamedTuple
 
 from .core import Dataset, Rational, Score
@@ -26,7 +29,7 @@ class RocCurve:
 
     `thresholds` is the evaluation grid that produced the points: the
     distinct observed scores ascending, then one sentinel strictly above the
-    maximum. Points are deduplicated, so len(points) <= len(thresholds).
+    maximum, one point per threshold.
     """
 
     points: tuple[RocPoint, ...]
@@ -46,52 +49,39 @@ class RocCurve:
 
 
 def tpr_at(d: Dataset, tau: Score) -> Rational:
-    """Fraction of positives with score >= tau (left-closed acceptance)."""
-    return Fraction(sum(1 for s in d.positives if s >= tau), d.n_pos)
+    """Fraction of positives with score >= tau; scans the raw observations."""
+    return Fraction(sum(1 for s in d.positives if s >= tau), len(d.positives))
 
 
 def fpr_at(d: Dataset, tau: Score) -> Rational:
-    """Fraction of negatives with score >= tau."""
-    return Fraction(sum(1 for s in d.negatives if s >= tau), d.n_neg)
+    """Fraction of negatives with score >= tau; scans the raw observations."""
+    return Fraction(sum(1 for s in d.negatives if s >= tau), len(d.negatives))
 
 
 def roc_curve(d: Dataset) -> RocCurve:
     """Sweep thresholds over the distinct scores plus a sentinel.
 
     Evaluating at the minimum score gives (1,1); the sentinel gives (0,0).
-    Consecutive duplicate points are merged, so `points` is exactly the set
-    of values the rate pair takes over all real thresholds, in sweep order.
+    Counts at or above each threshold are running differences down the count
+    table; every distinct score is attained, so consecutive points differ.
     """
-    distinct = d.distinct_scores
-    thresholds = distinct + (distinct[-1] + 1,)
-
-    # Single descending pass: at threshold distinct[i] the accepted set is
-    # everything with score >= distinct[i], so suffix counts suffice.
-    pos_at = {s: 0 for s in distinct}
-    neg_at = {s: 0 for s in distinct}
-    for s in d.positives:
-        pos_at[s] += 1
-    for s in d.negatives:
-        neg_at[s] += 1
-
-    points: list[RocPoint] = []
-    pos_ge = d.n_pos
-    neg_ge = d.n_neg
-    for s in distinct:
-        pt = RocPoint(Fraction(neg_ge, d.n_neg), Fraction(pos_ge, d.n_pos))
-        if not points or points[-1] != pt:
-            points.append(pt)
-        pos_ge -= pos_at[s]
-        neg_ge -= neg_at[s]
-    sentinel_pt = RocPoint(Fraction(0), Fraction(0))
-    if points[-1] != sentinel_pt:
-        points.append(sentinel_pt)
-    return RocCurve(points=tuple(points), thresholds=thresholds)
+    t = d.counts
+    pos_ge = accumulate(t.pos, sub, initial=d.n_pos)
+    neg_ge = accumulate(t.neg, sub, initial=d.n_neg)
+    points = tuple(
+        RocPoint(Fraction(f, d.n_neg), Fraction(r, d.n_pos)) for f, r in zip(neg_ge, pos_ge)
+    )
+    return RocCurve(points=points, thresholds=t.scores + (t.scores[-1] + 1,))
 
 
 def auc_trapezoid(c: RocCurve) -> Rational:
-    """Trapezoid sum sum_k (T_k + T_{k+1})/2 * (F_k - F_{k+1}), exact."""
-    twice = Fraction(0)
-    for a, b in zip(c.points, c.points[1:]):
-        twice += (a.tpr + b.tpr) * (a.fpr - b.fpr)
-    return twice / 2
+    """Trapezoid sum sum_k (T_k + T_{k+1})/2 * (F_k - F_{k+1}), exact.
+
+    Summed in integers over each axis's common denominator (a class size, from roc_curve).
+    """
+    f_den = lcm(*(p.fpr.denominator for p in c.points))
+    t_den = lcm(*(p.tpr.denominator for p in c.points))
+    f = [p.fpr.numerator * (f_den // p.fpr.denominator) for p in c.points]
+    t = [p.tpr.numerator * (t_den // p.tpr.denominator) for p in c.points]
+    twice = sum((t0 + t1) * (f0 - f1) for t0, t1, f0, f1 in zip(t, t[1:], f, f[1:]))
+    return Fraction(twice, 2 * f_den * t_den)

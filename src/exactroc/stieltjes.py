@@ -16,7 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from itertools import accumulate, compress
+from operator import sub
+from typing import Literal
 
 from .core import Dataset, Rational, Score
 
@@ -54,12 +56,11 @@ class StepFunction:
                 self, "values", tuple(self.values[i] for i in keep) + (self.values[-1],)
             )
 
-    def __call__(self, x: Score) -> Rational:
-        """Stored (left-continuous) value at x."""
+    def left_limit(self, x: Score) -> Rational:
+        """Also the stored (left-continuous) value at x, hence `__call__`."""
         return self.values[bisect_left(self.breakpoints, x)]
 
-    def left_limit(self, x: Score) -> Rational:
-        return self.values[bisect_left(self.breakpoints, x)]
+    __call__ = left_limit
 
     def right_limit(self, x: Score) -> Rational:
         return self.values[bisect_right(self.breakpoints, x)]
@@ -94,19 +95,14 @@ def rate_step_function(d: Dataset, side: Literal["positive", "negative"]) -> Ste
     is 1 left of all of them and 0 right of all of them, and agrees pointwise
     with tpr_at / fpr_at.
     """
-    scores: Iterable[Score] = d.positives if side == "positive" else d.negatives
-    counts: dict[Score, int] = {}
-    for s in scores:
-        counts[s] = counts.get(s, 0) + 1
-    total = sum(counts.values())
-
-    breakpoints = tuple(sorted(counts))
-    values = [Fraction(1)]
-    remaining = total
-    for s in breakpoints:
-        remaining -= counts[s]
-        values.append(Fraction(remaining, total))
-    return StepFunction(breakpoints=breakpoints, values=tuple(values))
+    t = d.counts
+    counts = t.pos if side == "positive" else t.neg
+    total = sum(counts)
+    remaining = accumulate((c for c in counts if c), sub, initial=total)
+    return StepFunction(
+        breakpoints=tuple(compress(t.scores, counts)),
+        values=tuple(Fraction(r, total) for r in remaining),
+    )
 
 
 def negative_differential(g: StepFunction) -> AtomicMeasure:

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,52 @@ def test_report_construction_rejects_inconsistent_fields():
         dataclasses.replace(r, pair_probability=Fraction(1, 2))
     with pytest.raises(IdentityError):
         dataclasses.replace(r, hypothesis_holds=True)
+
+
+@pytest.mark.parametrize(
+    ("stage", "patch", "message"),
+    [
+        (
+            "integrate",
+            lambda real: lambda variant, g, m: Fraction(1, 3),
+            "run_report: balanced Stieltjes integral must equal the trapezoid area: "
+            "1/3 vs 7/8",
+        ),
+        (
+            "integrate",
+            lambda real: lambda variant, g, m: (
+                Fraction(1, 3) if variant == "right" else real(variant, g, m)
+            ),
+            "run_report: right-limit Stieltjes integral must equal the pair "
+            "probability: 1/3 vs 3/4",
+        ),
+        (
+            "tie_report",
+            lambda real: lambda d: dataclasses.replace(real(d), correction=Fraction(0)),
+            "RocReport: area minus pair probability must equal the tie correction: "
+            "1/8 vs 0/1",
+        ),
+        (
+            "hypothesis_holds",
+            lambda real: lambda d: True,
+            "RocReport: no-tie condition, empty tie inventory, and area = probability "
+            "must coincide: hypothesis_holds True, 1 shared scores, 7/8 vs 3/4",
+        ),
+    ],
+    ids=["balanced-integral", "right-integral", "tie-correction", "no-tie-condition"],
+)
+def test_identity_errors_name_the_stage_and_both_exact_sides(
+    tmp_path, capsys, monkeypatch, stage, patch, message
+):
+    import exactroc.cli as cli_module
+
+    monkeypatch.setattr(cli_module, stage, patch(getattr(cli_module, stage)))
+    with pytest.raises(IdentityError) as exc:
+        run_report(parse_input(MIXED_CSV))
+    assert str(exc.value) == message
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    assert main(["report", "--input", path]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
 def test_emit_report_json_counterexample():
@@ -236,6 +284,25 @@ def test_main_parse_error_exits_1(tmp_path, capsys):
     assert "error: line 1" in capsys.readouterr().err
 
 
+def test_main_reads_a_byte_order_mark_before_the_first_data_row(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + MIXED_CSV.encode())
+    assert main(["report", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["auc"] == "7/8"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_main_unreadable_input_exits_1(tmp_path, capsys, kind):
+    path = tmp_path / "d.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"0.5,1\n\xff,0\n")
+    assert main(["report", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_main_degenerate_exits_2(tmp_path, capsys):
     path = _write(tmp_path, "d.csv", "0.5,1\n0.7,1\n")
     assert main(["report", "--input", path]) == 2
@@ -304,6 +371,26 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tie_correction"] == "1/2"
+
+
+def test_import_leaves_numpy_and_scipy_unloaded():
+    import exactroc
+
+    env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, exactroc; "
+            "print(sorted({'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules})); "
+            "exactroc.LaplaceTieModel; print('numpy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 def test_run_report_matches_dataset_built_directly():

@@ -96,6 +96,18 @@ def test_auc_mixed(mixed):
     assert auc_trapezoid(roc_curve(mixed)) == Fraction(7, 8)
 
 
+def test_auc_of_a_curve_with_unrelated_denominators():
+    pts = (
+        RocPoint(Fraction(1), Fraction(1)),
+        RocPoint(Fraction(2, 3), Fraction(1, 2)),
+        RocPoint(Fraction(1, 5), Fraction(1, 7)),
+        RocPoint(Fraction(0), Fraction(0)),
+    )
+    c = RocCurve(points=pts, thresholds=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)))
+    # twice the area: (3/2)(1/3) + (9/14)(7/15) + (1/7)(1/5) = 1/2 + 3/10 + 1/35
+    assert auc_trapezoid(c) == Fraction(29, 70)
+
+
 def test_curve_rejects_bad_endpoints():
     with pytest.raises(ValueError):
         RocCurve(
