@@ -13,7 +13,7 @@ Usage: python scripts/contlab_sweep.py [--samples N] [--seed S]
 import argparse
 import math
 
-from exactroc import LaplaceTieModel, area_consistency_check, jump_certificate
+from exactroc.contlab import LaplaceTieModel, area_consistency_check, jump_certificate
 
 
 def main() -> int:

@@ -112,7 +112,7 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
             raise ParseError(line, f"cannot read label {label_text!r}")
         pairs.append((value, label))
         first_data_row = False
-    return dataset_from_pairs(pairs)
+    return Dataset(tuple(pairs))
 
 
 def run_report(d: Dataset) -> RocReport:
@@ -142,7 +142,10 @@ def run_report(d: Dataset) -> RocReport:
 
 
 def _frac(q: Rational) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
 
 
 def _dec17(q: Rational) -> str:
@@ -320,7 +323,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    svg = emit_curve_svg(roc_curve(_load(args)), args.width)
+    curve = roc_curve(_load(args))
+    try:
+        svg = emit_curve_svg(curve, args.width)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0

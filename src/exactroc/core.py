@@ -74,9 +74,11 @@ class Dataset:
     observations: tuple[tuple[Score, bool], ...]
 
     def __post_init__(self) -> None:
-        if not any(pos for _, pos in self.observations):
+        if not self.observations:
+            raise DegenerateClassesError("dataset is empty")
+        if not self.n_pos:
             raise DegenerateClassesError("dataset has no positive observation")
-        if all(pos for _, pos in self.observations):
+        if not self.n_neg:
             raise DegenerateClassesError("dataset has no negative observation")
 
     @cached_property
@@ -131,10 +133,7 @@ def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Datas
     Scores go through `score()` (exact text or exact numbers only). Raises
     DegenerateClassesError unless both classes are represented.
     """
-    obs = tuple((score(s), bool(pos)) for s, pos in pairs)
-    if not obs:
-        raise DegenerateClassesError("dataset is empty")
-    return Dataset(obs)
+    return Dataset(tuple((score(s), bool(pos)) for s, pos in pairs))
 
 
 def dataset_from_classes(

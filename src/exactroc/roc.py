@@ -44,8 +44,6 @@ class RocCurve:
                 raise ValueError("consecutive curve points must be distinct")
             if b.fpr > a.fpr or b.tpr > a.tpr:
                 raise ValueError("rates must be non-increasing along the sweep")
-        if any(not (0 <= p.fpr <= 1 and 0 <= p.tpr <= 1) for p in pts):
-            raise ValueError("rates must lie in [0,1]")
 
 
 def tpr_at(d: Dataset, tau: Score) -> Rational:

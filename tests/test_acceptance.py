@@ -18,20 +18,17 @@ from pathlib import Path
 import pytest
 
 from exactroc import (
-    LaplaceTieModel,
     auc_trapezoid,
     dataset_from_classes,
     dataset_from_pairs,
-    integrate,
-    jump_certificate,
-    main,
-    negative_differential,
-    pair_probability_bruteforce,
     pair_probability_fast,
-    rate_step_function,
     roc_curve,
     tie_report,
 )
+from exactroc.cli import main
+from exactroc.contlab import LaplaceTieModel, jump_certificate
+from exactroc.pairwise import pair_probability_bruteforce
+from exactroc.stieltjes import integrate, negative_differential, rate_step_function
 from datagen import random_dataset
 
 DATA = Path(__file__).parent / "data"

@@ -14,14 +14,13 @@ from exactroc import (
     IdentityError,
     ParseError,
     dataset_from_classes,
-    emit_curve_svg,
     emit_report,
     identity_suite,
-    main,
     parse_input,
     roc_curve,
     run_report,
 )
+from exactroc.cli import emit_curve_svg, main
 
 COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
 MIXED_CSV = "0.5,1\n0.9,1\n0.5,0\n0.1,0\n"
@@ -350,6 +349,26 @@ def test_main_curve_writes_svg(tmp_path):
     assert root.get("width") == "320"
 
 
+def test_main_curve_rejects_a_narrow_width(tmp_path, capsys):
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    out = tmp_path / "curve.svg"
+    assert main(["curve", "--input", path, "--svg", str(out), "--width", "10"]) == 1
+    assert capsys.readouterr().err == "error: width must be at least 64 px\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_main_report_prints_a_score_past_the_int_str_digit_limit(tmp_path, capsys, output):
+    path = _write(tmp_path, "d.csv", "1e-5000,1\n1e-5000,0\n")
+    assert main(["report", "--input", path, "--output", output]) == 0
+    out = capsys.readouterr().out
+    exact = "1/1" + "0" * 5000
+    if output == "json":
+        assert json.loads(out)["shared_scores"][0]["score"] == exact
+    else:
+        assert f"shared_score      {exact} " in out
+
+
 def test_main_contlab_prints_certificate(capsys):
     assert main(["contlab", "--epsilon", "0.25", "--samples", "1000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -383,7 +402,7 @@ def test_import_leaves_numpy_and_scipy_unloaded():
             "-c",
             "import sys, exactroc; "
             "print(sorted({'numpy', 'scipy'} & {m.split('.')[0] for m in sys.modules})); "
-            "exactroc.LaplaceTieModel; print('numpy' in sys.modules)",
+            "import exactroc.contlab; print('numpy' in sys.modules)",
         ],
         capture_output=True,
         text=True,

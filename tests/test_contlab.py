@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from exactroc import (
+from exactroc.contlab import (
     LaplaceTieModel,
     area_consistency_check,
     fpr_of_threshold,

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactroc import (
-    DegenerateClassesError,
-    class_measures,
-    dataset_from_classes,
-    dataset_from_pairs,
-    rational,
-    score,
-)
+from exactroc import Dataset, DegenerateClassesError, dataset_from_classes, dataset_from_pairs
+from exactroc.core import class_measures, rational, score
 from datagen import random_dataset
 
 
@@ -67,6 +61,19 @@ def test_single_class_is_degenerate():
         dataset_from_pairs([("0.5", False), ("0.2", False)])
     with pytest.raises(DegenerateClassesError):
         dataset_from_pairs([])
+
+
+@pytest.mark.parametrize(
+    ("observations", "message"),
+    [
+        ((), "dataset is empty"),
+        (((Fraction(1, 2), False),), "dataset has no positive observation"),
+        (((Fraction(1, 2), True), (Fraction(1, 3), True)), "dataset has no negative observation"),
+    ],
+)
+def test_dataset_checks_both_classes_itself(observations, message):
+    with pytest.raises(DegenerateClassesError, match=f"^{message}$"):
+        Dataset(observations)
 
 
 def test_four_element_construction():

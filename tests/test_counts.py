@@ -13,16 +13,14 @@ from hypothesis import strategies as st
 
 from exactroc import (
     auc_trapezoid,
-    fpr_at,
-    hypothesis_holds,
-    pair_probability_bruteforce,
     pair_probability_fast,
     parse_input,
-    rate_step_function,
     roc_curve,
     tie_report,
-    tpr_at,
 )
+from exactroc.pairwise import hypothesis_holds, pair_probability_bruteforce
+from exactroc.roc import fpr_at, tpr_at
+from exactroc.stieltjes import rate_step_function
 
 DEN = 20  # every value k/20 has a terminating decimal expansion
 

@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactroc import (
-    SharedScore,
-    TieReport,
     auc_trapezoid,
     dataset_from_classes,
     dataset_from_pairs,
-    hypothesis_holds,
-    pair_probability_bruteforce,
     pair_probability_fast,
     roc_curve,
     tie_report,
+)
+from exactroc.pairwise import (
+    SharedScore,
+    TieReport,
+    hypothesis_holds,
+    pair_probability_bruteforce,
 )
 from datagen import random_dataset
 

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactroc import (
-    RocCurve,
-    RocPoint,
-    auc_trapezoid,
-    dataset_from_classes,
-    dataset_from_pairs,
-    fpr_at,
-    roc_curve,
-    tpr_at,
-)
+from exactroc import auc_trapezoid, dataset_from_classes, dataset_from_pairs, roc_curve
+from exactroc.roc import RocCurve, RocPoint, fpr_at, tpr_at
 from datagen import random_dataset
 
 C = Fraction(7, 20)

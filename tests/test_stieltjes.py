@@ -5,18 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactroc import (
+from exactroc import auc_trapezoid, dataset_from_classes, roc_curve
+from exactroc.pairwise import pair_probability_bruteforce
+from exactroc.roc import fpr_at, tpr_at
+from exactroc.stieltjes import (
     AtomicMeasure,
     StepFunction,
-    auc_trapezoid,
-    dataset_from_classes,
-    fpr_at,
     integrate,
     negative_differential,
-    pair_probability_bruteforce,
     rate_step_function,
-    roc_curve,
-    tpr_at,
 )
 from datagen import random_dataset
 
