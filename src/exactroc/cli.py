@@ -20,12 +20,12 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Literal
 
-from .core import Dataset, DegenerateClassesError, Rational, dataset_from_pairs
+from .core import Dataset, DegenerateClassesError, Rational
 from .pairwise import (
     TieReport,
     hypothesis_holds,
-    pair_probability_bruteforce,
     pair_probability_fast,
+    pair_probability_sorted,
     tie_report,
 )
 from .roc import RocCurve, auc_trapezoid, roc_curve
@@ -93,25 +93,28 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
     parse_score = cache(Fraction)  # once per distinct text; equal texts share one object
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     first_data_row = True
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not field.strip() for field in row):
-            continue
-        if len(row) != 2:
-            raise ParseError(line, f"expected 2 fields, got {len(row)}")
-        score_text, label_text = row[0].strip(), row[1].strip()
-        label = _LABELS.get(label_text.lower())
-        try:
-            value = parse_score(score_text)
-        except (ValueError, ZeroDivisionError):
-            if first_data_row and label is None:
-                first_data_row = False  # header line
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not row or all(not field.strip() for field in row):
                 continue
-            raise ParseError(line, f"cannot read score {score_text!r}") from None
-        if label is None:
-            raise ParseError(line, f"cannot read label {label_text!r}")
-        pairs.append((value, label))
-        first_data_row = False
+            if len(row) != 2:
+                raise ParseError(line, f"expected 2 fields, got {len(row)}")
+            score_text, label_text = row[0].strip(), row[1].strip()
+            label = _LABELS.get(label_text.lower())
+            try:
+                value = parse_score(score_text)
+            except (ValueError, ZeroDivisionError):
+                if first_data_row and label is None:
+                    first_data_row = False  # header line
+                    continue
+                raise ParseError(line, f"cannot read score {score_text!r}") from None
+            if label is None:
+                raise ParseError(line, f"cannot read label {label_text!r}")
+            pairs.append((value, label))
+            first_data_row = False
+    except csv.Error as e:  # e.g. a field past csv.field_size_limit()
+        raise ParseError(reader.line_num, str(e)) from None
     return Dataset(tuple(pairs))
 
 
@@ -258,16 +261,17 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     curve = roc_curve(d)
     auc = auc_trapezoid(curve)
     fast = pair_probability_fast(d)
-    brute = pair_probability_bruteforce(d)
+    merged = pair_probability_sorted(d)
     tie = tie_report(d)
     tpr_step = rate_step_function(d, "positive")
     neg_rate_diff = negative_differential(rate_step_function(d, "negative"))
     balanced = integrate("balanced", tpr_step, neg_rate_diff)
     right = integrate("right", tpr_step, neg_rate_diff)
 
-    shift = dataset_from_pairs(
-        ((Fraction(7) * s - 3) / 5, pos) for s, pos in d.observations
-    )
+    # one image per distinct score: equal scores share one object, which the
+    # image's count table then tallies once
+    image = {s: (7 * s - 3) / 5 for s in d.counts.scores}
+    shift = Dataset(tuple((image[s], pos) for s, pos in d.observations))
     results = [
         (
             "trapezoid area = balanced Stieltjes integral",
@@ -276,13 +280,13 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
         ),
         (
             "strict pair probability = right-limit Stieltjes integral",
-            brute == right,
-            f"{_frac(brute)} vs {_frac(right)}",
+            merged == right,
+            f"{_frac(merged)} vs {_frac(right)}",
         ),
         (
-            "fast pair count = brute-force pair count",
-            fast == brute,
-            f"{_frac(fast)} vs {_frac(brute)}",
+            "fast pair count = sorted-merge pair count",
+            fast == merged,
+            f"{_frac(fast)} vs {_frac(merged)}",
         ),
         (
             "area - pair probability = tie correction",

@@ -63,6 +63,24 @@ def pair_probability_bruteforce(d: Dataset) -> Rational:
     return Fraction(wins, len(d.positives) * len(d.negatives))
 
 
+def pair_probability_sorted(d: Dataset) -> Rational:
+    """Same value as the brute-force count, by merging the two sorted classes.
+
+    Reads only the raw observations, never the count table, so it is an
+    independent oracle that still runs in O(n log n) comparisons. Each class
+    is sorted on its own in exact order; then for each positive, ascending,
+    the pointer advances past every negative strictly below it, and the
+    pointer's position is that positive's number of wins.
+    """
+    negatives = sorted(d.negatives)
+    wins = below = 0
+    for p in sorted(d.positives):
+        while below < len(negatives) and negatives[below] < p:
+            below += 1
+        wins += below
+    return Fraction(wins, len(d.positives) * len(negatives))
+
+
 def pair_probability_fast(d: Dataset) -> Rational:
     """Same value as the brute-force count, from one sweep down the count table.
 

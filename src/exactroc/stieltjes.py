@@ -118,10 +118,26 @@ def negative_differential(g: StepFunction) -> AtomicMeasure:
 
 
 def integrate(variant: LimitVariant, g: StepFunction, m: AtomicMeasure) -> Rational:
-    """sum over atoms (a, w) of w * g_variant(a), exact."""
-    pick = {
-        "left": g.left_limit,
-        "right": g.right_limit,
-        "balanced": g.balanced,
+    """sum over atoms (a, w) of w * g_variant(a), exact.
+
+    Atoms and breakpoints both ascend, so one forward walk finds each atom's
+    place among the breakpoints: `i` is where `bisect_left` would put the
+    atom, and the atom sits on a jump iff breakpoints[i] equals it. The terms
+    are those of the pointwise `left_limit`, `right_limit` and `balanced`.
+    """
+    use_left, use_right = {
+        "left": (True, False),
+        "right": (False, True),
+        "balanced": (True, True),
     }[variant]
-    return sum((w * pick(a) for a, w in m.atoms), Fraction(0))
+    bps, values = g.breakpoints, g.values
+    left = right = Fraction(0)
+    i = 0
+    for a, w in m.atoms:
+        while i < len(bps) and bps[i] < a:
+            i += 1
+        if use_left:
+            left += w * values[i]
+        if use_right:
+            right += w * values[i + 1 if i < len(bps) and bps[i] == a else i]
+    return (left + right) / 2 if use_left and use_right else left + right

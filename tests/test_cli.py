@@ -283,6 +283,15 @@ def test_main_parse_error_exits_1(tmp_path, capsys):
     assert "error: line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_main_oversized_field_is_a_parse_error(tmp_path, capsys, command):
+    path = _write(tmp_path, "big.csv", "0.5,1\n" + "1" * 200_000 + ",1\n0,0\n")
+    assert main([command, "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_main_reads_a_byte_order_mark_before_the_first_data_row(tmp_path, capsys):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + MIXED_CSV.encode())
@@ -326,6 +335,25 @@ def test_main_check_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("ok  ") == 7
     assert "FAIL" not in out
+
+
+def test_main_check_never_runs_the_quadratic_pair_count(tmp_path, capsys, monkeypatch):
+    import exactroc.cli as cli_module
+    import exactroc.pairwise as pairwise_module
+
+    def quadratic(_):
+        raise AssertionError("check ran the O(n_pos * n_neg) pair count")
+
+    monkeypatch.setattr(pairwise_module, "pair_probability_bruteforce", quadratic)
+    # and any reference cli holds to it, so no copy of the double loop can run
+    monkeypatch.setattr(cli_module, "pair_probability_bruteforce", quadratic, raising=False)
+    rows = "".join(f"{i * 7919 % 200}/100,{int(i % 3 == 0)}\n" for i in range(20_000))
+    path = _write(tmp_path, "tied.csv", rows)
+    assert main(["check", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("ok  ") == 7
+    assert "FAIL" not in out
+    assert "fast pair count = sorted-merge pair count" in out
 
 
 def test_main_check_reports_failures_with_exit_3(tmp_path, capsys, monkeypatch):

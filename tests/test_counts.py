@@ -18,7 +18,11 @@ from exactroc import (
     roc_curve,
     tie_report,
 )
-from exactroc.pairwise import hypothesis_holds, pair_probability_bruteforce
+from exactroc.pairwise import (
+    hypothesis_holds,
+    pair_probability_bruteforce,
+    pair_probability_sorted,
+)
 from exactroc.roc import fpr_at, tpr_at
 from exactroc.stieltjes import rate_step_function
 
@@ -66,6 +70,7 @@ def test_table_views_match_raw_observation_oracles(rs):
     )
 
     assert pair_probability_fast(d) == pair_probability_bruteforce(d)
+    assert pair_probability_sorted(d) == pair_probability_bruteforce(d)
 
     shared = sorted(set(pos_scores) & set(neg_scores))
     r = tie_report(d)

@@ -122,6 +122,12 @@ def test_balanced_integral_equals_trapezoidal_area(seed):
     t = rate_step_function(d, "positive")
     m = negative_differential(rate_step_function(d, "negative"))
     assert integrate("balanced", t, m) == auc_trapezoid(roc_curve(d))
+    for variant, pointwise in (
+        ("left", t.left_limit),
+        ("right", t.right_limit),
+        ("balanced", t.balanced),
+    ):
+        assert integrate(variant, t, m) == sum(w * pointwise(a) for a, w in m.atoms)
 
 
 @given(st.integers(0, 10**6))
