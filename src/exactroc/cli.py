@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 parse error, 2 degenerate classes (only one label
 present), 3 internal identity violation. Code 3 can only mean an
-implementation bug, never a data problem: the report pipeline re-asserts the
-exact identities (trapezoid area = balanced Stieltjes integral, strict pair
-probability = right-limit integral, area - probability = tie correction)
-before emitting anything.
+implementation bug, never a data problem: `report` and `check` share one
+evaluation and one list of exact identities (trapezoid area = balanced
+Stieltjes integral, strict pair probability = right-limit integral, area -
+probability = tie correction in [0, 1/2], no shared score iff area =
+probability). A RocReport raises on the first that fails, before anything is
+emitted; `check` prints each as a row.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 from typing import Callable, Literal
 
 from .core import Dataset, DegenerateClassesError, Rational
@@ -48,7 +51,10 @@ class IdentityError(RuntimeError):
 
 @dataclass(frozen=True)
 class RocReport:
-    """Everything the evaluation produces for one dataset, exactly."""
+    """Everything the evaluation produces for one dataset, exactly.
+
+    Construction raises IdentityError on the first exact identity that fails.
+    """
 
     auc: Rational
     pair_probability: Rational
@@ -57,27 +63,63 @@ class RocReport:
     curve: RocCurve
     n_pos: int
     n_neg: int
+    balanced_integral: Rational
+    right_integral: Rational
 
     def __post_init__(self) -> None:
-        _require_equal(
-            "RocReport",
-            "area minus pair probability must equal the tie correction",
-            self.auc - self.pair_probability,
-            self.tie.correction,
-        )
-        no_ties = not self.tie.shared_scores
-        if not (self.hypothesis_holds == no_ties == (self.auc == self.pair_probability)):
-            raise IdentityError(
-                "RocReport: no-tie condition, empty tie inventory, and area = "
-                f"probability must coincide: hypothesis_holds {self.hypothesis_holds}, "
-                f"{len(self.tie.shared_scores)} shared scores, "
-                f"{_frac(self.auc)} vs {_frac(self.pair_probability)}"
-            )
+        for name, ok, detail in _identities(self):
+            if not ok:
+                raise IdentityError(f"RocReport: {name}: {detail}")
 
 
-def _require_equal(stage: str, identity: str, left: Rational, right: Rational) -> None:
-    if left != right:
-        raise IdentityError(f"{stage}: {identity}: {_frac(left)} vs {_frac(right)}")
+def _evaluate(d: Dataset) -> SimpleNamespace:
+    """Run every stage on `d` once; the fields of a RocReport, not yet checked."""
+    curve = roc_curve(d)
+    tpr_step = rate_step_function(d, "positive")
+    neg_rate_diff = negative_differential(rate_step_function(d, "negative"))
+    return SimpleNamespace(
+        auc=auc_trapezoid(curve),
+        pair_probability=pair_probability_fast(d),
+        tie=tie_report(d),
+        hypothesis_holds=hypothesis_holds(d),
+        curve=curve,
+        n_pos=d.n_pos,
+        n_neg=d.n_neg,
+        balanced_integral=integrate("balanced", tpr_step, neg_rate_diff),
+        right_integral=integrate("right", tpr_step, neg_rate_diff),
+    )
+
+
+def _identities(r: RocReport | SimpleNamespace) -> list[tuple[str, bool, str]]:
+    """The exact identities every evaluation satisfies; (name, passed, detail) rows."""
+    auc, pair, tie = r.auc, r.pair_probability, r.tie
+    return [
+        (
+            "trapezoid area = balanced Stieltjes integral",
+            auc == r.balanced_integral,
+            f"{_frac(auc)} vs {_frac(r.balanced_integral)}",
+        ),
+        (
+            "strict pair probability = right-limit Stieltjes integral",
+            pair == r.right_integral,
+            f"{_frac(pair)} vs {_frac(r.right_integral)}",
+        ),
+        (
+            "area - pair probability = tie correction",
+            auc - pair == tie.correction,
+            f"{_frac(auc - pair)} vs {_frac(tie.correction)}",
+        ),
+        (
+            "0 <= correction <= bound <= 1/2",
+            0 <= tie.correction <= tie.bound <= Fraction(1, 2),
+            f"correction {_frac(tie.correction)}, bound {_frac(tie.bound)}",
+        ),
+        (
+            "no cross-class tie iff area = pair probability",
+            r.hypothesis_holds == (not tie.shared_scores) == (auc == pair),
+            f"hypothesis {r.hypothesis_holds}, auc {_frac(auc)}, pair {_frac(pair)}",
+        ),
+    ]
 
 
 def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
@@ -96,7 +138,7 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
     try:
         for row in reader:
             line = reader.line_num
-            if not row or all(not field.strip() for field in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != 2:
                 raise ParseError(line, f"expected 2 fields, got {len(row)}")
@@ -119,29 +161,8 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
 
 
 def run_report(d: Dataset) -> RocReport:
-    """Compute the full report and assert the exact identities on the way."""
-    curve = roc_curve(d)
-    auc = auc_trapezoid(curve)
-    pair = pair_probability_fast(d)
-    tie = tie_report(d)
-
-    tpr_step = rate_step_function(d, "positive")
-    neg_rate_diff = negative_differential(rate_step_function(d, "negative"))
-    for variant, target, identity in (
-        ("balanced", auc, "balanced Stieltjes integral must equal the trapezoid area"),
-        ("right", pair, "right-limit Stieltjes integral must equal the pair probability"),
-    ):
-        _require_equal("run_report", identity, integrate(variant, tpr_step, neg_rate_diff), target)
-
-    return RocReport(
-        auc=auc,
-        pair_probability=pair,
-        tie=tie,
-        hypothesis_holds=hypothesis_holds(d),
-        curve=curve,
-        n_pos=d.n_pos,
-        n_neg=d.n_neg,
-    )
+    """Compute the full report; constructing it asserts the exact identities."""
+    return RocReport(**vars(_evaluate(d)))
 
 
 def _frac(q: Rational) -> str:
@@ -258,60 +279,31 @@ def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
 
 def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     """Run every exact identity on one dataset; (name, passed, detail) rows."""
-    curve = roc_curve(d)
-    auc = auc_trapezoid(curve)
-    fast = pair_probability_fast(d)
+    e = _evaluate(d)
     merged = pair_probability_sorted(d)
-    tie = tie_report(d)
-    tpr_step = rate_step_function(d, "positive")
-    neg_rate_diff = negative_differential(rate_step_function(d, "negative"))
-    balanced = integrate("balanced", tpr_step, neg_rate_diff)
-    right = integrate("right", tpr_step, neg_rate_diff)
-
+    rows = _identities(e)
+    rows.insert(
+        2,
+        (
+            "fast pair count = sorted-merge pair count",
+            e.pair_probability == merged,
+            f"{_frac(e.pair_probability)} vs {_frac(merged)}",
+        ),
+    )
     # one image per distinct score: equal scores share one object, which the
     # image's count table then tallies once
     image = {s: (7 * s - 3) / 5 for s in d.counts.scores}
     shift = Dataset(tuple((image[s], pos) for s, pos in d.observations))
-    results = [
-        (
-            "trapezoid area = balanced Stieltjes integral",
-            auc == balanced,
-            f"{_frac(auc)} vs {_frac(balanced)}",
-        ),
-        (
-            "strict pair probability = right-limit Stieltjes integral",
-            merged == right,
-            f"{_frac(merged)} vs {_frac(right)}",
-        ),
-        (
-            "fast pair count = sorted-merge pair count",
-            fast == merged,
-            f"{_frac(fast)} vs {_frac(merged)}",
-        ),
-        (
-            "area - pair probability = tie correction",
-            auc - fast == tie.correction,
-            f"{_frac(auc - fast)} vs {_frac(tie.correction)}",
-        ),
-        (
-            "0 <= correction <= bound <= 1/2",
-            0 <= tie.correction <= tie.bound <= Fraction(1, 2),
-            f"correction {_frac(tie.correction)}, bound {_frac(tie.bound)}",
-        ),
-        (
-            "no cross-class tie iff area = pair probability",
-            hypothesis_holds(d) == (auc == fast),
-            f"hypothesis {hypothesis_holds(d)}, auc {_frac(auc)}, pair {_frac(fast)}",
-        ),
+    rows.append(
         (
             "invariance under increasing affine score map",
-            auc_trapezoid(roc_curve(shift)) == auc
-            and pair_probability_fast(shift) == fast
-            and tie_report(shift).correction == tie.correction,
+            auc_trapezoid(roc_curve(shift)) == e.auc
+            and pair_probability_fast(shift) == e.pair_probability
+            and tie_report(shift).correction == e.tie.correction,
             "map x -> (7x - 3)/5",
-        ),
-    ]
-    return results
+        )
+    )
+    return rows
 
 
 def _load(args: argparse.Namespace) -> Dataset:

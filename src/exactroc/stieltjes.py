@@ -32,8 +32,8 @@ class StepFunction:
     values[i] is the value on the open interval between breakpoints[i-1] and
     breakpoints[i] (values[0] to the left of everything, values[-1] to the
     right), and the stored value AT a breakpoint is the left interval's value.
-    Breakpoints with no jump are dropped at construction, so every breakpoint
-    carries a strictly positive downward jump.
+    Values strictly decrease, so every breakpoint carries a strictly positive
+    downward jump; construction rejects a breakpoint with no jump.
     """
 
     breakpoints: tuple[Score, ...]
@@ -44,17 +44,8 @@ class StepFunction:
             raise ValueError("need exactly one value per interval")
         if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("values must be non-increasing")
-        # canonical form: drop breakpoints where nothing jumps
-        keep = [i for i, (a, b) in enumerate(zip(self.values, self.values[1:])) if a != b]
-        if len(keep) != len(self.breakpoints):
-            object.__setattr__(
-                self, "breakpoints", tuple(self.breakpoints[i] for i in keep)
-            )
-            object.__setattr__(
-                self, "values", tuple(self.values[i] for i in keep) + (self.values[-1],)
-            )
+        if any(a <= b for a, b in zip(self.values, self.values[1:])):
+            raise ValueError("values must strictly decrease")
 
     def left_limit(self, x: Score) -> Rational:
         """Also the stored (left-continuous) value at x, hence `__call__`."""

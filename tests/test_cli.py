@@ -116,34 +116,42 @@ def test_report_construction_rejects_inconsistent_fields():
         dataclasses.replace(r, hypothesis_holds=True)
 
 
+def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
+    r = run_report(parse_input(MIXED_CSV))
+    with pytest.raises(IdentityError) as exc:
+        dataclasses.replace(r, tie=dataclasses.replace(r.tie, shared_scores=()))
+    assert str(exc.value) == (
+        "RocReport: no cross-class tie iff area = pair probability: "
+        "hypothesis False, auc 7/8, pair 3/4"
+    )
+
+
 @pytest.mark.parametrize(
     ("stage", "patch", "message"),
     [
         (
             "integrate",
             lambda real: lambda variant, g, m: Fraction(1, 3),
-            "run_report: balanced Stieltjes integral must equal the trapezoid area: "
-            "1/3 vs 7/8",
+            "RocReport: trapezoid area = balanced Stieltjes integral: 7/8 vs 1/3",
         ),
         (
             "integrate",
             lambda real: lambda variant, g, m: (
                 Fraction(1, 3) if variant == "right" else real(variant, g, m)
             ),
-            "run_report: right-limit Stieltjes integral must equal the pair "
-            "probability: 1/3 vs 3/4",
+            "RocReport: strict pair probability = right-limit Stieltjes integral: "
+            "3/4 vs 1/3",
         ),
         (
             "tie_report",
             lambda real: lambda d: dataclasses.replace(real(d), correction=Fraction(0)),
-            "RocReport: area minus pair probability must equal the tie correction: "
-            "1/8 vs 0/1",
+            "RocReport: area - pair probability = tie correction: 1/8 vs 0/1",
         ),
         (
             "hypothesis_holds",
             lambda real: lambda d: True,
-            "RocReport: no-tie condition, empty tie inventory, and area = probability "
-            "must coincide: hypothesis_holds True, 1 shared scores, 7/8 vs 3/4",
+            "RocReport: no cross-class tie iff area = pair probability: "
+            "hypothesis True, auc 7/8, pair 3/4",
         ),
     ],
     ids=["balanced-integral", "right-integral", "tie-correction", "no-tie-condition"],
@@ -335,6 +343,83 @@ def test_main_check_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("ok  ") == 7
     assert "FAIL" not in out
+
+
+CHECK_OK = {
+    MIXED_CSV: [
+        "ok    trapezoid area = balanced Stieltjes integral (7/8 vs 7/8)",
+        "ok    strict pair probability = right-limit Stieltjes integral (3/4 vs 3/4)",
+        "ok    fast pair count = sorted-merge pair count (3/4 vs 3/4)",
+        "ok    area - pair probability = tie correction (1/8 vs 1/8)",
+        "ok    0 <= correction <= bound <= 1/2 (correction 1/8, bound 1/4)",
+        "ok    no cross-class tie iff area = pair probability "
+        "(hypothesis False, auc 7/8, pair 3/4)",
+        "ok    invariance under increasing affine score map (map x -> (7x - 3)/5)",
+    ],
+    COUNTEREXAMPLE_CSV: [
+        "ok    trapezoid area = balanced Stieltjes integral (1/2 vs 1/2)",
+        "ok    strict pair probability = right-limit Stieltjes integral (0/1 vs 0/1)",
+        "ok    fast pair count = sorted-merge pair count (0/1 vs 0/1)",
+        "ok    area - pair probability = tie correction (1/2 vs 1/2)",
+        "ok    0 <= correction <= bound <= 1/2 (correction 1/2, bound 1/2)",
+        "ok    no cross-class tie iff area = pair probability "
+        "(hypothesis False, auc 1/2, pair 0/1)",
+        "ok    invariance under increasing affine score map (map x -> (7x - 3)/5)",
+    ],
+}
+
+
+def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
+    for text, lines in CHECK_OK.items():
+        path = _write(tmp_path, "d.csv", text)
+        assert main(["check", "--input", path]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    ("stage", "patch", "changed"),
+    [
+        (
+            "integrate",
+            lambda real: lambda variant, g, m: Fraction(1, 3),
+            {
+                0: "FAIL  trapezoid area = balanced Stieltjes integral (7/8 vs 1/3)",
+                1: "FAIL  strict pair probability = right-limit Stieltjes integral "
+                "(3/4 vs 1/3)",
+            },
+        ),
+        (
+            "tie_report",
+            lambda real: lambda d: dataclasses.replace(real(d), correction=Fraction(0)),
+            {
+                3: "FAIL  area - pair probability = tie correction (1/8 vs 0/1)",
+                4: "ok    0 <= correction <= bound <= 1/2 (correction 0/1, bound 1/4)",
+            },
+        ),
+        (
+            "hypothesis_holds",
+            lambda real: lambda d: True,
+            {
+                5: "FAIL  no cross-class tie iff area = pair probability "
+                "(hypothesis True, auc 7/8, pair 3/4)"
+            },
+        ),
+    ],
+    ids=["integrals", "tie-correction", "no-tie-condition"],
+)
+def test_main_check_prints_fail_rows_instead_of_raising(
+    tmp_path, capsys, monkeypatch, stage, patch, changed
+):
+    import exactroc.cli as cli_module
+
+    monkeypatch.setattr(cli_module, stage, patch(getattr(cli_module, stage)))
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    assert main(["check", "--input", path]) == 3
+    lines = [changed.get(i, line) for i, line in enumerate(CHECK_OK[MIXED_CSV])]
+    failures = sum(line.startswith("FAIL") for line in lines)
+    captured = capsys.readouterr()
+    assert captured.out == "\n".join(lines) + "\n"
+    assert captured.err == f"{failures} identity check(s) failed\n"
 
 
 def test_main_check_never_runs_the_quadratic_pair_count(tmp_path, capsys, monkeypatch):

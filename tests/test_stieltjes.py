@@ -89,13 +89,12 @@ def test_integrate_balanced_mixed(mixed):
     assert integrate("right", t, m) == Fraction(3, 4)
 
 
-def test_step_function_drops_silent_breakpoints():
-    g = StepFunction(
-        breakpoints=(Fraction(1), Fraction(2), Fraction(3)),
-        values=(Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)),
-    )
-    assert g.breakpoints == (Fraction(2),)
-    assert g.values == (Fraction(1), Fraction(1, 2))
+def test_step_function_rejects_silent_breakpoints():
+    with pytest.raises(ValueError):
+        StepFunction(
+            breakpoints=(Fraction(1), Fraction(2), Fraction(3)),
+            values=(Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 2)),
+        )
 
 
 def test_step_function_validation():
