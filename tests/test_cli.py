@@ -217,12 +217,33 @@ def test_emit_report_decimals_use_17_significant_digits():
     assert payload["pair_probability_decimal"] == "0.66666666666666667"
 
 
+REPORT_TEXT = {
+    COUNTEREXAMPLE_CSV: [
+        "observations      2 (1 positive, 1 negative)",
+        "hypothesis_holds  false",
+        "auc               1/2 = 0.5",
+        "pair_probability  0/1 = 0",
+        "tie_correction    1/2 = 0.5",
+        "tie_bound         1/2 = 0.5",
+        "shared_score      7/20 (pos_mass 1/1, neg_mass 1/1)",
+        "curve             (1/1, 1/1) (0/1, 0/1)",
+    ],
+    MIXED_CSV: [
+        "observations      4 (2 positive, 2 negative)",
+        "hypothesis_holds  false",
+        "auc               7/8 = 0.875",
+        "pair_probability  3/4 = 0.75",
+        "tie_correction    1/8 = 0.125",
+        "tie_bound         1/4 = 0.25",
+        "shared_score      1/2 (pos_mass 1/2, neg_mass 1/2)",
+        "curve             (1/1, 1/1) (1/2, 1/1) (0/1, 1/2) (0/1, 0/1)",
+    ],
+}
+
+
 def test_emit_report_text_mode():
-    r = run_report(parse_input(COUNTEREXAMPLE_CSV))
-    text = emit_report(r, "text")
-    assert "auc               1/2 = 0.5" in text
-    assert "hypothesis_holds  false" in text
-    assert "shared_score      7/20 (pos_mass 1/1, neg_mass 1/1)" in text
+    for text, lines in REPORT_TEXT.items():
+        assert emit_report(run_report(parse_input(text)), "text") == "\n".join(lines) + "\n"
 
 
 def test_svg_is_valid_xml_with_one_point_per_curve_vertex():
@@ -274,9 +295,10 @@ def test_main_report_ok(tmp_path, capsys):
 
 
 def test_main_report_text_output(tmp_path, capsys):
-    path = _write(tmp_path, "d.csv", MIXED_CSV)
-    assert main(["report", "--input", path, "--output", "text"]) == 0
-    assert "auc               7/8" in capsys.readouterr().out
+    for text, lines in REPORT_TEXT.items():
+        path = _write(tmp_path, "d.csv", text)
+        assert main(["report", "--input", path, "--output", "text"]) == 0
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_main_report_tsv(tmp_path, capsys):
