@@ -23,7 +23,7 @@ from functools import cache
 from types import SimpleNamespace
 from typing import Callable, Literal
 
-from .core import Dataset, DegenerateClassesError, Rational
+from .core import Dataset, DegenerateClassesError, Rational, score
 from .pairwise import (
     TieReport,
     hypothesis_holds,
@@ -117,7 +117,8 @@ def _identities(r: RocReport | SimpleNamespace) -> list[tuple[str, bool, str]]:
         (
             "no cross-class tie iff area = pair probability",
             r.hypothesis_holds == (not tie.shared_scores) == (auc == pair),
-            f"hypothesis {r.hypothesis_holds}, auc {_frac(auc)}, pair {_frac(pair)}",
+            f"hypothesis {r.hypothesis_holds}, shared {len(tie.shared_scores)}, "
+            f"auc {_frac(auc)}, pair {_frac(pair)}",
         ),
     ]
 
@@ -132,7 +133,7 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
     """
     delimiter = "," if fmt == "csv" else "\t"
     pairs: list[tuple[Fraction, bool]] = []
-    parse_score = cache(Fraction)  # once per distinct text; equal texts share one object
+    parse_score = cache(score)  # once per distinct text; equal texts share one object
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     first_data_row = True
     try:
@@ -180,51 +181,43 @@ def _dec17(q: Rational) -> str:
 
 
 def emit_report(r: RocReport, mode: Literal["json", "text"] = "json") -> str:
-    """Serialize a report; fraction strings are the primary representation."""
+    """Serialize a report; fraction strings are the primary representation.
+
+    Both modes render the same fields in the same order; text gives one per line.
+    """
+    exact = {
+        "auc": r.auc,
+        "pair_probability": r.pair_probability,
+        "tie_correction": r.tie.correction,
+        "tie_bound": r.tie.bound,
+    }
+    shared = [
+        {"score": _frac(s.score), "pos_mass": _frac(s.pos_mass), "neg_mass": _frac(s.neg_mass)}
+        for s in r.tie.shared_scores
+    ]
+    curve = [[_frac(p.fpr), _frac(p.tpr)] for p in r.curve.points]
     if mode == "json":
         import json
 
-        payload = {
-            "n_pos": r.n_pos,
-            "n_neg": r.n_neg,
-            "hypothesis_holds": r.hypothesis_holds,
-            "auc": _frac(r.auc),
-            "auc_decimal": _dec17(r.auc),
-            "pair_probability": _frac(r.pair_probability),
-            "pair_probability_decimal": _dec17(r.pair_probability),
-            "tie_correction": _frac(r.tie.correction),
-            "tie_correction_decimal": _dec17(r.tie.correction),
-            "tie_bound": _frac(r.tie.bound),
-            "tie_bound_decimal": _dec17(r.tie.bound),
-            "shared_scores": [
-                {
-                    "score": _frac(s.score),
-                    "pos_mass": _frac(s.pos_mass),
-                    "neg_mass": _frac(s.neg_mass),
-                }
-                for s in r.tie.shared_scores
-            ],
-            "curve": [[_frac(p.fpr), _frac(p.tpr)] for p in r.curve.points],
-        }
+        payload = {"n_pos": r.n_pos, "n_neg": r.n_neg, "hypothesis_holds": r.hypothesis_holds}
+        for name, q in exact.items():
+            payload[name] = _frac(q)
+            payload[f"{name}_decimal"] = _dec17(q)
+        payload["shared_scores"] = shared
+        payload["curve"] = curve
         return json.dumps(payload, indent=2) + "\n"
 
-    lines = [
-        f"observations      {r.n_pos + r.n_neg} ({r.n_pos} positive, {r.n_neg} negative)",
-        f"hypothesis_holds  {str(r.hypothesis_holds).lower()}",
-        f"auc               {_frac(r.auc)} = {_dec17(r.auc)}",
-        f"pair_probability  {_frac(r.pair_probability)} = {_dec17(r.pair_probability)}",
-        f"tie_correction    {_frac(r.tie.correction)} = {_dec17(r.tie.correction)}",
-        f"tie_bound         {_frac(r.tie.bound)} = {_dec17(r.tie.bound)}",
+    fields = [
+        ("observations", f"{r.n_pos + r.n_neg} ({r.n_pos} positive, {r.n_neg} negative)"),
+        ("hypothesis_holds", str(r.hypothesis_holds).lower()),
+        *((name, f"{_frac(q)} = {_dec17(q)}") for name, q in exact.items()),
+        *(
+            ("shared_score", f"{s['score']} (pos_mass {s['pos_mass']}, neg_mass {s['neg_mass']})")
+            for s in shared
+        ),
+        ("curve", " ".join(f"({fpr}, {tpr})" for fpr, tpr in curve)),
     ]
-    for s in r.tie.shared_scores:
-        lines.append(
-            f"shared_score      {_frac(s.score)} "
-            f"(pos_mass {_frac(s.pos_mass)}, neg_mass {_frac(s.neg_mass)})"
-        )
-    lines.append(
-        "curve             " + " ".join(f"({_frac(p.fpr)}, {_frac(p.tpr)})" for p in r.curve.points)
-    )
-    return "\n".join(lines) + "\n"
+    return "".join(f"{label:<18}{value}\n" for label, value in fields)
 
 
 def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:

@@ -28,14 +28,6 @@ class DegenerateClassesError(ValueError):
     """The observations do not contain both a positive and a negative."""
 
 
-def rational(num: int, den: int = 1) -> Rational:
-    """Reduced rational num/den with the sign carried by the numerator.
-
-    Raises ZeroDivisionError for den == 0.
-    """
-    return Fraction(num, den)
-
-
 def score(value: Score | int | str) -> Score:
     """Convert decimal text (or an exact number) to an exact score.
 
@@ -142,9 +134,3 @@ def dataset_from_classes(
     """Convenience constructor from two score collections."""
     pairs = [(s, True) for s in positives] + [(s, False) for s in negatives]
     return dataset_from_pairs(pairs)
-
-
-def class_measures(d: Dataset) -> tuple[Rational, Rational]:
-    """(|P|/|Omega|, |P^c|/|Omega|) under the uniform measure; sums to 1."""
-    n = len(d)
-    return Fraction(d.n_pos, n), Fraction(d.n_neg, n)

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import exactroc
@@ -38,10 +41,14 @@ def test_star_import_binds_exactly_the_public_names():
     assert set(namespace) == PUBLIC
 
 
+def _readme_python_blocks() -> list[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, re.S)
+
+
 def _documented_imports():
     """(module, name) for each `from exactroc... import name` in README code and scripts."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sources = re.findall(r"```python\n(.*?)```", readme, re.S)
+    sources = _readme_python_blocks()
     sources += [p.read_text(encoding="utf-8") for p in sorted((ROOT / "scripts").glob("*.py"))]
     for source in sources:
         for node in ast.walk(ast.parse(source)):
@@ -54,3 +61,18 @@ def test_every_name_the_readme_and_scripts_import_resolves():
     assert ("exactroc", "roc_curve") in imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_readme_examples_and_tie_sweep_run():
+    # the README's python blocks continue one another, so they share a namespace
+    blocks = _readme_python_blocks()
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+    env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
+    sweep = [str(ROOT / "scripts" / "tie_sweep.py"), "--datasets", "20", "--max-size", "30"]
+    proc = subprocess.run([sys.executable, *sweep], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "all exact identities held" in proc.stdout.splitlines()

@@ -14,6 +14,7 @@ from exactroc import (
     IdentityError,
     ParseError,
     dataset_from_classes,
+    dataset_from_pairs,
     emit_report,
     identity_suite,
     parse_input,
@@ -72,6 +73,30 @@ def test_parse_malformed_rows(text):
         parse_input(text)
 
 
+@pytest.mark.parametrize(
+    ("text", "value"),
+    [
+        ("1_000", Fraction(1000)),
+        ("٣", Fraction(3)),
+        ("-0", Fraction(0)),
+        ("+.5", Fraction(1, 2)),
+        ("1E3", Fraction(1000)),
+        ("1_0/2_0", Fraction(1, 2)),
+    ],
+)
+def test_score_spellings_accepted_by_file_and_library_alike(text, value):
+    assert parse_input(f"0.25,1\n{text},0\n").negatives == (value,)
+    assert dataset_from_pairs([("0.25", True), (text, False)]).negatives == (value,)
+
+
+@pytest.mark.parametrize("text", ["0x10", "inf", "nan", "1/0", "²"])
+def test_score_spellings_rejected_by_file_and_library_alike(text):
+    with pytest.raises(ParseError, match=f"^line 2: cannot read score '{text}'$"):
+        parse_input(f"0.25,1\n{text},0\n")
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        dataset_from_pairs([("0.25", True), (text, False)])
+
+
 def test_parse_label_synonyms_case_insensitive():
     d = parse_input("0.9,Pos\n0.8,TRUE\n0.2,NEG\n0.1,False\n")
     assert d.n_pos == 2
@@ -122,7 +147,7 @@ def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
         dataclasses.replace(r, tie=dataclasses.replace(r.tie, shared_scores=()))
     assert str(exc.value) == (
         "RocReport: no cross-class tie iff area = pair probability: "
-        "hypothesis False, auc 7/8, pair 3/4"
+        "hypothesis False, shared 0, auc 7/8, pair 3/4"
     )
 
 
@@ -151,7 +176,7 @@ def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
             "hypothesis_holds",
             lambda real: lambda d: True,
             "RocReport: no cross-class tie iff area = pair probability: "
-            "hypothesis True, auc 7/8, pair 3/4",
+            "hypothesis True, shared 1, auc 7/8, pair 3/4",
         ),
     ],
     ids=["balanced-integral", "right-integral", "tie-correction", "no-tie-condition"],
@@ -375,7 +400,7 @@ CHECK_OK = {
         "ok    area - pair probability = tie correction (1/8 vs 1/8)",
         "ok    0 <= correction <= bound <= 1/2 (correction 1/8, bound 1/4)",
         "ok    no cross-class tie iff area = pair probability "
-        "(hypothesis False, auc 7/8, pair 3/4)",
+        "(hypothesis False, shared 1, auc 7/8, pair 3/4)",
         "ok    invariance under increasing affine score map (map x -> (7x - 3)/5)",
     ],
     COUNTEREXAMPLE_CSV: [
@@ -385,7 +410,7 @@ CHECK_OK = {
         "ok    area - pair probability = tie correction (1/2 vs 1/2)",
         "ok    0 <= correction <= bound <= 1/2 (correction 1/2, bound 1/2)",
         "ok    no cross-class tie iff area = pair probability "
-        "(hypothesis False, auc 1/2, pair 0/1)",
+        "(hypothesis False, shared 1, auc 1/2, pair 0/1)",
         "ok    invariance under increasing affine score map (map x -> (7x - 3)/5)",
     ],
 }
@@ -423,7 +448,7 @@ def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
             lambda real: lambda d: True,
             {
                 5: "FAIL  no cross-class tie iff area = pair probability "
-                "(hypothesis True, auc 7/8, pair 3/4)"
+                "(hypothesis True, shared 1, auc 7/8, pair 3/4)"
             },
         ),
     ],

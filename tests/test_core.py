@@ -6,31 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exactroc import Dataset, DegenerateClassesError, dataset_from_classes, dataset_from_pairs
-from exactroc.core import class_measures, rational, score
+from exactroc.core import score
 from datagen import random_dataset
-
-
-@pytest.mark.parametrize(
-    ("num", "den", "expected"),
-    [
-        (2, 4, Fraction(1, 2)),
-        (0, 7, Fraction(0, 1)),
-        (-3, -6, Fraction(1, 2)),
-    ],
-)
-def test_rational_normalization(num, den, expected):
-    q = rational(num, den)
-    assert q == expected
-    assert q.denominator > 0
-    # stored reduced
-    import math
-
-    assert math.gcd(abs(q.numerator), q.denominator) == 1
-
-
-def test_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
 
 
 def test_score_parses_decimal_text_exactly():
@@ -87,27 +64,7 @@ def test_four_element_construction():
 def test_duplicates_count_with_multiplicity():
     d = dataset_from_classes(["0.5", "0.5", "0.5"], ["0.1"])
     assert d.n_pos == 3
-    assert class_measures(d) == (Fraction(3, 4), Fraction(1, 4))
-
-
-@pytest.mark.parametrize(
-    ("pos", "neg", "expected"),
-    [
-        (["0.35"], ["0.35"], (Fraction(1, 2), Fraction(1, 2))),
-        (["0.5", "0.9"], ["0.5", "0.1"], (Fraction(1, 2), Fraction(1, 2))),
-        (["0.8"], ["0.1", "0.2", "0.3"], (Fraction(1, 4), Fraction(3, 4))),
-    ],
-)
-def test_class_measures(pos, neg, expected):
-    assert class_measures(dataset_from_classes(pos, neg)) == expected
-
-
-@given(st.integers(0, 10**6))
-def test_class_measures_sum_to_one(seed):
-    d = random_dataset(random.Random(seed))
-    mu_p, mu_n = class_measures(d)
-    assert mu_p + mu_n == 1
-    assert mu_p > 0 and mu_n > 0
+    assert (d.n_neg, len(d)) == (1, 4)
 
 
 @given(st.integers(), st.integers(), st.integers(min_value=1), st.integers(min_value=1))

@@ -5,6 +5,7 @@ Scores are written in several spellings of one value ("0.5", "0.50", "1/2",
 by text or by object.
 """
 
+import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from exactroc import (
     roc_curve,
     tie_report,
 )
+from exactroc.cli import main
 from exactroc.pairwise import (
     hypothesis_holds,
     pair_probability_bruteforce,
@@ -94,3 +96,29 @@ def test_table_views_match_raw_observation_oracles(rs):
         for x in probes:
             assert g.left_limit(x) == rate_at(d, x)
             assert g.right_limit(x) == Fraction(sum(s > x for s in scores), len(scores))
+
+
+def test_scores_past_the_float_range_keep_their_exact_order(tmp_path, capsys):
+    # float() overflows on +-1e400, so the table skips its float presort and
+    # relies on the exact sort alone
+    pos = ["1e400", "0.5", "-1e400", "0.5"]
+    neg = ["-1e400", "0.5", "1e-400", "2"]
+    text = "".join(f"{s},1\n" for s in pos) + "".join(f"{s},0\n" for s in neg)
+    scores = parse_input(text).counts.scores
+    assert all(a < b for a, b in zip(scores, scores[1:]))
+    assert scores == tuple(sorted(set(map(Fraction, pos + neg))))
+
+    path = tmp_path / "huge.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # 8 strict wins and 3 ties (-1e400 once, 0.5 twice) over 16 pairs
+    assert (report["auc"], report["pair_probability"], report["tie_correction"]) == (
+        "19/32",
+        "1/2",
+        "3/32",
+    )
+    assert [s["score"] for s in report["shared_scores"]] == ["-1" + "0" * 400 + "/1", "1/2"]
+    assert main(["check", "--input", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 7 and all(row.startswith("ok    ") for row in rows)
