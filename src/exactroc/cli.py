@@ -1,9 +1,9 @@
 """Batch front end: CSV/TSV in, exact report (JSON or text) and SVG out.
 
 Exit codes: 0 success, 1 parse error, 2 degenerate classes (only one label
-present), 3 internal identity violation. Code 3 can only mean an
-implementation bug, never a data problem: `report` and `check` share one
-evaluation and one list of exact identities (trapezoid area = balanced
+present), 3 internal error: a failed identity or validator. Code 3 can only
+mean an implementation bug, never a data problem: `report` and `check` share
+one evaluation and one list of exact identities (trapezoid area = balanced
 Stieltjes integral, strict pair probability = right-limit integral, area -
 probability = tie correction in [0, 1/2], no shared score iff area =
 probability). A RocReport raises on the first that fails, before anything is
@@ -132,7 +132,8 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
     DegenerateClassesError when only one class is present.
     """
     delimiter = "," if fmt == "csv" else "\t"
-    pairs: list[tuple[Fraction, bool]] = []
+    positives: list[Fraction] = []
+    negatives: list[Fraction] = []
     parse_score = cache(score)  # once per distinct text; equal texts share one object
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     first_data_row = True
@@ -154,11 +155,11 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
                 raise ParseError(line, f"cannot read score {score_text!r}") from None
             if label is None:
                 raise ParseError(line, f"cannot read label {label_text!r}")
-            pairs.append((value, label))
+            (positives if label else negatives).append(value)
             first_data_row = False
     except csv.Error as e:  # e.g. a field past csv.field_size_limit()
         raise ParseError(reader.line_num, str(e)) from None
-    return Dataset(tuple(pairs))
+    return Dataset(tuple(positives), tuple(negatives))
 
 
 def run_report(d: Dataset) -> RocReport:
@@ -286,7 +287,7 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     # one image per distinct score: equal scores share one object, which the
     # image's count table then tallies once
     image = {s: (7 * s - 3) / 5 for s in d.counts.scores}
-    shift = Dataset(tuple((image[s], pos) for s, pos in d.observations))
+    shift = Dataset(tuple(map(image.get, d.positives)), tuple(map(image.get, d.negatives)))
     rows.append(
         (
             "invariance under increasing affine score map",
@@ -405,6 +406,6 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateClassesError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except IdentityError as e:
+    except (IdentityError, ValueError) as e:  # input ValueErrors are all caught above
         print(f"internal error: {e}", file=sys.stderr)
         return 3

@@ -5,6 +5,9 @@ ratio of integer counts, so everything is carried as `fractions.Fraction`.
 Scores enter as decimal text and are converted to exact rationals; binary
 floating point is deliberately kept out of the data path because ties are
 decided by exact score equality.
+
+A dataset is its two class columns, positive scores and negative scores:
+every quantity is a function of the two samples, never of how they interleave.
 """
 
 from __future__ import annotations
@@ -57,40 +60,33 @@ class CountTable(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Finite observation set: scores plus positive/negative labels.
+    """Finite observation set: the positive class's scores and the negative class's.
 
-    Duplicate observations are allowed and counted with multiplicity (the
+    Duplicate scores are allowed and counted with multiplicity (the
     underlying measure is counting measure). Both classes must be non-empty.
     """
 
-    observations: tuple[tuple[Score, bool], ...]
+    positives: tuple[Score, ...]
+    negatives: tuple[Score, ...]
 
     def __post_init__(self) -> None:
-        if not self.observations:
+        if not self.positives and not self.negatives:
             raise DegenerateClassesError("dataset is empty")
-        if not self.n_pos:
+        if not self.positives:
             raise DegenerateClassesError("dataset has no positive observation")
-        if not self.n_neg:
+        if not self.negatives:
             raise DegenerateClassesError("dataset has no negative observation")
 
-    @cached_property
-    def positives(self) -> tuple[Score, ...]:
-        return tuple(s for s, pos in self.observations if pos)
-
-    @cached_property
-    def negatives(self) -> tuple[Score, ...]:
-        return tuple(s for s, pos in self.observations if not pos)
-
-    @cached_property
+    @cached_property  # read once per curve point and per shared score
     def n_pos(self) -> int:
-        return sum(self.counts.pos)
+        return len(self.positives)
 
     @cached_property
     def n_neg(self) -> int:
-        return sum(self.counts.neg)
+        return len(self.negatives)
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.n_pos + self.n_neg
 
     @property
     def distinct_scores(self) -> tuple[Score, ...]:
@@ -101,15 +97,15 @@ class Dataset:
     def counts(self) -> CountTable:
         """The per-score class counts every exact quantity is computed from.
 
-        Observations are tallied per score object first, hashing ints where
+        Each column is tallied per score object first, hashing ints where
         hashing a Fraction is slow; then the distinct objects merge by value.
         """
-        scores, labels = zip(*self.observations)
-        objects = dict(zip(map(id, scores), scores))
         merged: dict[Score, list] = {}
-        for (i, is_pos), c in Counter(zip(map(id, scores), labels)).items():
-            s = objects[i]
-            merged.setdefault(s, [s, 0, 0])[1 if is_pos else 2] += c
+        for column, k in ((self.positives, 1), (self.negatives, 2)):
+            objects = dict(zip(map(id, column), column))
+            for i, c in Counter(map(id, column)).items():
+                s = objects[i]
+                merged.setdefault(s, [s, 0, 0])[k] += c
         rows = list(merged.values())
         try:  # a cheap presort by float leaves the exact sort little to reorder
             rows.sort(key=lambda row: float(row[0]))
@@ -125,12 +121,15 @@ def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Datas
     Scores go through `score()` (exact text or exact numbers only). Raises
     DegenerateClassesError unless both classes are represented.
     """
-    return Dataset(tuple((score(s), bool(pos)) for s, pos in pairs))
+    positives: list[Score] = []
+    negatives: list[Score] = []
+    for s, pos in pairs:
+        (positives if pos else negatives).append(score(s))
+    return Dataset(tuple(positives), tuple(negatives))
 
 
 def dataset_from_classes(
     positives: Iterable[Score | int | str], negatives: Iterable[Score | int | str]
 ) -> Dataset:
     """Convenience constructor from two score collections."""
-    pairs = [(s, True) for s in positives] + [(s, False) for s in negatives]
-    return dataset_from_pairs(pairs)
+    return Dataset(tuple(map(score, positives)), tuple(map(score, negatives)))

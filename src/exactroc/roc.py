@@ -25,15 +25,9 @@ class RocPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Distinct ROC points in sweep order, (1,1) first, (0,0) last.
-
-    `thresholds` is the evaluation grid that produced the points: the
-    distinct observed scores ascending, then one sentinel strictly above the
-    maximum, one point per threshold.
-    """
+    """Distinct ROC points in sweep order, (1,1) first, (0,0) last."""
 
     points: tuple[RocPoint, ...]
-    thresholds: tuple[Score, ...]
 
     def __post_init__(self) -> None:
         pts = self.points
@@ -69,7 +63,7 @@ def roc_curve(d: Dataset) -> RocCurve:
     points = tuple(
         RocPoint(Fraction(f, d.n_neg), Fraction(r, d.n_pos)) for f, r in zip(neg_ge, pos_ge)
     )
-    return RocCurve(points=points, thresholds=t.scores + (t.scores[-1] + 1,))
+    return RocCurve(points=points)
 
 
 def auc_trapezoid(c: RocCurve) -> Rational:

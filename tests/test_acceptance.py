@@ -20,7 +20,6 @@ import pytest
 from exactroc import (
     auc_trapezoid,
     dataset_from_classes,
-    dataset_from_pairs,
     pair_probability_fast,
     roc_curve,
     tie_report,
@@ -163,8 +162,8 @@ def test_criterion_8_invariance_under_increasing_score_map(capsys):
         rng = random.Random(20260822)
         for i in range(100):
             d = random_dataset(rng, max_size=120, force_tie=(i % 2 == 0))
-            mapped = dataset_from_pairs(
-                (s**3 + 2 * s, pos) for s, pos in d.observations
+            mapped = dataset_from_classes(
+                [s**3 + 2 * s for s in d.positives], [s**3 + 2 * s for s in d.negatives]
             )
             assert auc_trapezoid(roc_curve(mapped)) == auc_trapezoid(roc_curve(d))
             assert pair_probability_fast(mapped) == pair_probability_fast(d)
@@ -193,7 +192,9 @@ def test_criterion_9_cli_golden_report_and_check(tmp_path, capsys):
                 rng, max_size=80, disjoint=(i % 3 == 0), force_tie=(i % 3 == 1)
             )
             rows = "".join(
-                f"{_decimal_text(s)},{'1' if pos else '0'}\n" for s, pos in d.observations
+                f"{_decimal_text(s)},{label}\n"
+                for column, label in ((d.positives, "1"), (d.negatives, "0"))
+                for s in column
             )
             path = tmp_path / f"fixture_{i:02d}.csv"
             path.write_text(rows, encoding="utf-8")

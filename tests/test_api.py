@@ -76,3 +76,13 @@ def test_readme_examples_and_tie_sweep_run():
     proc = subprocess.run([sys.executable, *sweep], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "all exact identities held" in proc.stdout.splitlines()
+
+
+def test_every_stage_the_benchmark_traces_resolves(monkeypatch):
+    # perfbench wraps these by module-qualified name; a stage deleted or renamed
+    # here would otherwise break only its `--trace 1` runs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    inproc = importlib.import_module("inproc")
+    names = {*inproc.TRACED, *(qual for steps in inproc.STEPS.values() for qual in steps)}
+    for qual in sorted(names):
+        assert callable(inproc._lookup(qual)), qual

@@ -384,6 +384,24 @@ def test_main_identity_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert "internal error: injected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_main_validator_failure_exits_3(tmp_path, capsys, monkeypatch, command):
+    # a kernel validator's ValueError is an implementation bug, not malformed input
+    import exactroc.cli as cli_module
+
+    real = cli_module.tie_report
+    monkeypatch.setattr(
+        cli_module, "tie_report", lambda d: dataclasses.replace(real(d), correction=Fraction(1, 2))
+    )
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    assert main([command, "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: tie inequality chain violated: correction=1/2 bound=1/4\n"
+    )
+
+
 def test_main_check_ok(tmp_path, capsys):
     path = _write(tmp_path, "d.csv", MIXED_CSV)
     assert main(["check", "--input", path]) == 0

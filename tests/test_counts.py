@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from exactroc import (
     auc_trapezoid,
+    dataset_from_pairs,
     pair_probability_fast,
     parse_input,
     roc_curve,
@@ -59,6 +60,8 @@ def test_table_views_match_raw_observation_oracles(rs):
     pos_scores = [Fraction(k, DEN) for k, _, pos in rs if pos]
     neg_scores = [Fraction(k, DEN) for k, _, pos in rs if not pos]
     n_pos, n_neg = len(pos_scores), len(neg_scores)
+    assert (d.positives, d.negatives) == (tuple(pos_scores), tuple(neg_scores))
+    assert dataset_from_pairs((spellings(k)[i], pos) for k, i, pos in rs) == d
 
     t = d.counts
     assert t.scores == d.distinct_scores == tuple(sorted(set(pos_scores + neg_scores)))
@@ -68,7 +71,7 @@ def test_table_views_match_raw_observation_oracles(rs):
 
     curve = roc_curve(d)
     assert list(curve.points) == _dedupe(
-        [(fpr_at(d, tau), tpr_at(d, tau)) for tau in curve.thresholds]
+        [(fpr_at(d, tau), tpr_at(d, tau)) for tau in t.scores + (t.scores[-1] + 1,)]
     )
 
     assert pair_probability_fast(d) == pair_probability_bruteforce(d)

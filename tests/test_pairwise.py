@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from exactroc import (
     auc_trapezoid,
     dataset_from_classes,
-    dataset_from_pairs,
     pair_probability_fast,
     roc_curve,
     tie_report,
@@ -144,7 +143,9 @@ def _increasing_map(s: Fraction) -> Fraction:
 def test_pair_quantities_invariant_under_increasing_transform(seed):
     rng = random.Random(seed)
     d = random_dataset(rng, max_size=40, force_tie=rng.random() < 0.5)
-    mapped = dataset_from_pairs((_increasing_map(s), pos) for s, pos in d.observations)
+    mapped = dataset_from_classes(
+        map(_increasing_map, d.positives), map(_increasing_map, d.negatives)
+    )
     assert pair_probability_fast(mapped) == pair_probability_fast(d)
     assert tie_report(mapped).correction == tie_report(d).correction
     assert tie_report(mapped).bound == tie_report(d).bound

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactroc import auc_trapezoid, dataset_from_classes, dataset_from_pairs, roc_curve
+from exactroc import auc_trapezoid, dataset_from_classes, roc_curve
 from exactroc.roc import RocCurve, RocPoint, fpr_at, tpr_at
 from datagen import random_dataset
 
@@ -72,7 +72,6 @@ def test_curve_mixed(mixed):
         RocPoint(Fraction(0), Fraction(1, 2)),
         RocPoint(Fraction(0), Fraction(0)),
     )
-    assert c.thresholds == (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10), Fraction(19, 10))
 
 
 def test_auc_counterexample(counterexample):
@@ -95,17 +94,14 @@ def test_auc_of_a_curve_with_unrelated_denominators():
         RocPoint(Fraction(1, 5), Fraction(1, 7)),
         RocPoint(Fraction(0), Fraction(0)),
     )
-    c = RocCurve(points=pts, thresholds=(Fraction(0), Fraction(1), Fraction(2), Fraction(3)))
+    c = RocCurve(points=pts)
     # twice the area: (3/2)(1/3) + (9/14)(7/15) + (1/7)(1/5) = 1/2 + 3/10 + 1/35
     assert auc_trapezoid(c) == Fraction(29, 70)
 
 
 def test_curve_rejects_bad_endpoints():
     with pytest.raises(ValueError):
-        RocCurve(
-            points=(RocPoint(Fraction(1), Fraction(1)), RocPoint(Fraction(0), Fraction(1, 2))),
-            thresholds=(Fraction(0),),
-        )
+        RocCurve(points=(RocPoint(Fraction(1), Fraction(1)), RocPoint(Fraction(0), Fraction(1, 2))))
 
 
 def test_curve_rejects_duplicate_points():
@@ -115,7 +111,7 @@ def test_curve_rejects_duplicate_points():
         RocPoint(Fraction(0), Fraction(0)),
     )
     with pytest.raises(ValueError):
-        RocCurve(points=pts, thresholds=(Fraction(0), Fraction(1)))
+        RocCurve(points=pts)
 
 
 @given(st.integers(0, 10**6))
@@ -147,7 +143,9 @@ def _increasing_map(s: Fraction) -> Fraction:
 @given(st.integers(0, 10**6))
 def test_auc_invariant_under_increasing_transform(seed):
     d = random_dataset(random.Random(seed), max_size=40)
-    mapped = dataset_from_pairs((_increasing_map(s), pos) for s, pos in d.observations)
+    mapped = dataset_from_classes(
+        map(_increasing_map, d.positives), map(_increasing_map, d.negatives)
+    )
     assert auc_trapezoid(roc_curve(mapped)) == auc_trapezoid(roc_curve(d))
 
 
@@ -165,7 +163,8 @@ def test_curve_points_are_the_rate_pairs_at_thresholds(seed):
     d = random_dataset(random.Random(seed), max_size=30)
     c = roc_curve(d)
     swept = []
-    for t in c.thresholds:
+    # the distinct scores ascending, then a sentinel strictly above the maximum
+    for t in d.distinct_scores + (d.distinct_scores[-1] + 1,):
         pt = RocPoint(fpr_at(d, t), tpr_at(d, t))
         if not swept or swept[-1] != pt:
             swept.append(pt)
