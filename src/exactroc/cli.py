@@ -21,7 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
-from typing import Callable, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from .core import Dataset, DegenerateClassesError, Rational, score
 from .pairwise import (
@@ -123,19 +123,19 @@ def _identities(r: RocReport | SimpleNamespace) -> list[tuple[str, bool, str]]:
     ]
 
 
-def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
-    """Parse `score,label` records; scores are decimal text, read exactly.
+def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
+    """Parse `score,label` records from text or lines (an open file is read row by row).
 
-    Labels accept 1/0, pos/neg, true/false (case-insensitive). A single
-    leading header line is skipped when neither of its fields makes sense as
-    data. Raises ParseError with the offending line number, or
+    Scores are decimal text, read exactly. Labels accept 1/0, pos/neg, true/false
+    (case-insensitive). A single leading header line is skipped when neither of its
+    fields makes sense as data. Raises ParseError with the offending line number, or
     DegenerateClassesError when only one class is present.
     """
-    delimiter = "," if fmt == "csv" else "\t"
+    lines = io.StringIO(source) if isinstance(source, str) else source
     positives: list[Fraction] = []
     negatives: list[Fraction] = []
     parse_score = cache(score)  # once per distinct text; equal texts share one object
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    reader = csv.reader(lines, delimiter="," if fmt == "csv" else "\t")
     first_data_row = True
     try:
         for row in reader:
@@ -159,7 +159,7 @@ def parse_input(text: str, fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
             first_data_row = False
     except csv.Error as e:  # e.g. a field past csv.field_size_limit()
         raise ParseError(reader.line_num, str(e)) from None
-    return Dataset(tuple(positives), tuple(negatives))
+    return Dataset(positives, negatives)
 
 
 def run_report(d: Dataset) -> RocReport:
@@ -186,39 +186,50 @@ def emit_report(r: RocReport, mode: Literal["json", "text"] = "json") -> str:
 
     Both modes render the same fields in the same order; text gives one per line.
     """
+    return "".join(_report_pieces(r, mode))
+
+
+def _report_pieces(r: RocReport, mode: Literal["json", "text"]) -> Iterator[str]:
+    """emit_report's text in pieces, in order; JSON laid out exactly as json.dumps(indent=2).
+
+    Its strings all come from _frac or _dec17, whose characters ([0-9+-./E]) need no escaping.
+    """
     exact = {
         "auc": r.auc,
         "pair_probability": r.pair_probability,
         "tie_correction": r.tie.correction,
         "tie_bound": r.tie.bound,
     }
-    shared = [
-        {"score": _frac(s.score), "pos_mass": _frac(s.pos_mass), "neg_mass": _frac(s.neg_mass)}
-        for s in r.tie.shared_scores
-    ]
-    curve = [[_frac(p.fpr), _frac(p.tpr)] for p in r.curve.points]
+    shared = ((_frac(s.score), _frac(s.pos_mass), _frac(s.neg_mass)) for s in r.tie.shared_scores)
+    curve = ((_frac(p.fpr), _frac(p.tpr)) for p in r.curve.points)
+    holds = str(r.hypothesis_holds).lower()
     if mode == "json":
-        import json
-
-        payload = {"n_pos": r.n_pos, "n_neg": r.n_neg, "hypothesis_holds": r.hypothesis_holds}
+        yield f'{{\n  "n_pos": {r.n_pos},\n  "n_neg": {r.n_neg},\n  "hypothesis_holds": {holds},\n'
         for name, q in exact.items():
-            payload[name] = _frac(q)
-            payload[f"{name}_decimal"] = _dec17(q)
-        payload["shared_scores"] = shared
-        payload["curve"] = curve
-        return json.dumps(payload, indent=2) + "\n"
+            yield f'  "{name}": "{_frac(q)}",\n  "{name}_decimal": "{_dec17(q)}",\n'
+        item = '{{\n      "score": "{}",\n      "pos_mass": "{}",\n      "neg_mass": "{}"\n    }}'
+        yield from _json_array('  "shared_scores": ', item, shared)
+        yield from _json_array(',\n  "curve": ', '[\n      "{}",\n      "{}"\n    ]', curve)
+        yield "\n}\n"
+        return
+    yield f"{'observations':<18}{r.n_pos + r.n_neg} ({r.n_pos} positive, {r.n_neg} negative)\n"
+    yield f"{'hypothesis_holds':<18}{holds}\n"
+    for name, q in exact.items():
+        yield f"{name:<18}{_frac(q)} = {_dec17(q)}\n"
+    for s, p, n in shared:
+        yield f"{'shared_score':<18}{s} (pos_mass {p}, neg_mass {n})\n"
+    yield f"{'curve':<17}"  # each point brings the space before it, completing the 18 columns
+    yield from (f" ({x}, {y})" for x, y in curve)
+    yield "\n"
 
-    fields = [
-        ("observations", f"{r.n_pos + r.n_neg} ({r.n_pos} positive, {r.n_neg} negative)"),
-        ("hypothesis_holds", str(r.hypothesis_holds).lower()),
-        *((name, f"{_frac(q)} = {_dec17(q)}") for name, q in exact.items()),
-        *(
-            ("shared_score", f"{s['score']} (pos_mass {s['pos_mass']}, neg_mass {s['neg_mass']})")
-            for s in shared
-        ),
-        ("curve", " ".join(f"({fpr}, {tpr})" for fpr, tpr in curve)),
-    ]
-    return "".join(f"{label:<18}{value}\n" for label, value in fields)
+
+def _json_array(head: str, item: str, rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
+    """`head`, then the rows as an array at depth 1 of json.dumps(indent=2), each as `item`."""
+    opening = f"{head}["
+    for row in rows:
+        yield f"{opening}\n    " + item.format(*row)
+        opening = ","
+    yield "\n  ]" if opening == "," else f"{opening}]"
 
 
 def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
@@ -302,13 +313,14 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
 
 def _load(args: argparse.Namespace) -> Dataset:
     # utf-8-sig drops a byte order mark, which would otherwise glue onto the first score.
-    with open(args.input, "r", encoding="utf-8-sig") as fh:
-        return parse_input(fh.read(), args.format)
+    binary = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
+    with io.TextIOWrapper(binary, encoding="utf-8-sig") as fh:
+        return parse_input(fh, args.format)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report = run_report(_load(args))
-    sys.stdout.write(emit_report(report, args.output))
+    report = run_report(_load(args))  # every identity is checked before the first byte
+    sys.stdout.writelines(_report_pieces(report, args.output))
     return 0
 
 
@@ -357,7 +369,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="CSV/TSV file of score,label records")
+    p.add_argument("--input", required=True, help="CSV/TSV of score,label records; - is stdin")
     p.add_argument("--format", choices=["csv", "tsv"], default="csv")
 
 

@@ -70,6 +70,8 @@ class Dataset:
     negatives: tuple[Score, ...]
 
     def __post_init__(self) -> None:
+        for name in ("positives", "negatives"):  # tuples hash, and no caller can grow them
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.positives and not self.negatives:
             raise DegenerateClassesError("dataset is empty")
         if not self.positives:

@@ -72,9 +72,15 @@ def pair_probability_sorted(d: Dataset) -> Rational:
     the pointer advances past every negative strictly below it, and the
     pointer's position is that positive's number of wins.
     """
-    negatives = sorted(d.negatives)
+    negatives, positives = list(d.negatives), list(d.positives)
+    for column in (negatives, positives):
+        try:  # a cheap presort by float leaves the exact sort little to reorder
+            column.sort(key=float)
+        except OverflowError:
+            pass
+        column.sort()
     wins = below = 0
-    for p in sorted(d.positives):
+    for p in positives:
         while below < len(negatives) and negatives[below] < p:
             below += 1
         wins += below

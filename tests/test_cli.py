@@ -1,13 +1,19 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactroc import (
     DegenerateClassesError,
@@ -22,6 +28,7 @@ from exactroc import (
     run_report,
 )
 from exactroc.cli import emit_curve_svg, main
+from datagen import random_dataset
 
 COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
 MIXED_CSV = "0.5,1\n0.9,1\n0.5,0\n0.1,0\n"
@@ -62,6 +69,30 @@ def test_parse_skips_blank_lines_but_keeps_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_input("0.5,1\n\nbad,worse\n")
     assert exc.value.line == 3
+
+
+def _parsed(source):
+    try:
+        return parse_input(source)
+    except ParseError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.5,1\r\n0.9,1\r\n0.5,0\r\n0.1,0\r\n",
+        '"sc\nore",label\n0.5,1\n"0.1\n",0\n',
+        '"sc\r\nore",label\r\n0.5,1\r\n"0.1",0\r\n',
+        "score,label\n\n0.5,1\n\n\n0.1,0\n\n",
+        "score,label\nscore,label\n0.5,1\n0.1,0\n",
+        "0.5,1\n\nbad,worse\n",
+    ],
+    ids=["crlf", "quoted-newline", "quoted-crlf", "header-blank-lines", "second-header", "bad-row"],
+)
+def test_parse_input_reads_text_and_lines_alike(text):
+    lines = text.splitlines(keepends=True)
+    assert _parsed(text) == _parsed(io.StringIO(text)) == _parsed(iter(lines))
 
 
 @pytest.mark.parametrize(
@@ -266,6 +297,14 @@ REPORT_TEXT = {
 }
 
 
+@given(st.integers(0, 10**6), st.sampled_from(["disjoint", "tied", "random"]))
+@settings(max_examples=150)
+def test_emit_report_json_is_laid_out_as_json_dumps(seed, kind):
+    d = random_dataset(random.Random(seed), disjoint=kind == "disjoint", force_tie=kind == "tied")
+    text = emit_report(run_report(d), "json")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_emit_report_text_mode():
     for text, lines in REPORT_TEXT.items():
         assert emit_report(run_report(parse_input(text)), "text") == "\n".join(lines) + "\n"
@@ -349,9 +388,58 @@ def test_main_oversized_field_is_a_parse_error(tmp_path, capsys, command):
 
 def test_main_reads_a_byte_order_mark_before_the_first_data_row(tmp_path, capsys):
     path = tmp_path / "bom.csv"
-    path.write_bytes(b"\xef\xbb\xbf" + MIXED_CSV.encode())
-    assert main(["report", "--input", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["auc"] == "7/8"
+    path.write_bytes(b"\xef\xbb\xbf" + MIXED_CSV.replace("\n", "\r\n").encode())
+    r = run_report(parse_input(MIXED_CSV))
+    for output in ("json", "text"):
+        assert main(["report", "--input", str(path), "--output", output]) == 0
+        assert capsys.readouterr().out == emit_report(r, output)
+
+
+def _subprocess_env():
+    import exactroc
+
+    return {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
+
+
+@pytest.mark.parametrize("command", ["report", "check", "curve"])
+def test_main_reads_stdin_for_a_dash(tmp_path, capsys, command):
+    data = b"\xef\xbb\xbf" + MIXED_CSV.encode()
+    (tmp_path / "d.csv").write_bytes(data)
+
+    def argv(source, svg):
+        return [command, "--input", source] + ["--svg", str(tmp_path / svg)] * (command == "curve")
+
+    assert main(argv(str(tmp_path / "d.csv"), "file.svg")) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactroc", *argv("-", "stdin.svg")],
+        input=data,
+        capture_output=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == capsys.readouterr().out
+    if command == "curve":
+        assert (tmp_path / "stdin.svg").read_bytes() == (tmp_path / "file.svg").read_bytes()
+
+
+def test_main_report_holds_neither_the_whole_input_nor_the_whole_output(tmp_path):
+    # 1e5 rows of 8 bytes on a 3-decimal grid: few distinct scores, so the peak is the
+    # class columns, a list and then its tuple at 8 bytes a row each. Holding the text
+    # whole (4 bytes a character in a StringIO) or the JSON as one string adds to it.
+    rng = random.Random(5)
+    path = tmp_path / "grid.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        for _ in range(100_000):
+            k = rng.randint(0, 1000)
+            fh.write(f"{k // 1000}.{k % 1000:03d},{rng.randint(0, 1)}\n")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["report", "--input", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
@@ -571,9 +659,7 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
 
 
 def test_import_leaves_numpy_and_scipy_unloaded():
-    import exactroc
-
-    env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
+    env = _subprocess_env()
     proc = subprocess.run(
         [
             sys.executable,

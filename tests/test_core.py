@@ -50,8 +50,19 @@ def test_single_class_is_degenerate():
 )
 def test_dataset_checks_both_classes_itself(observations, message):
     positives, negatives = observations
-    with pytest.raises(DegenerateClassesError, match=f"^{message}$"):
-        Dataset(positives, negatives)
+    for columns in ((positives, negatives), (iter(positives), iter(negatives))):
+        with pytest.raises(DegenerateClassesError, match=f"^{message}$"):
+            Dataset(*columns)
+
+
+def test_dataset_keeps_its_own_tuple_of_each_column():
+    positives = [Fraction(1)]
+    d = Dataset(positives, [Fraction(0)])
+    assert d.n_pos == 1
+    positives.append(Fraction(2))
+    assert d.n_pos == len(d.positives) == 1
+    assert (d.positives, d.negatives) == ((Fraction(1),), (Fraction(0),))
+    assert hash(d) == hash(Dataset((Fraction(1),), (Fraction(0),)))
 
 
 def test_four_element_construction():

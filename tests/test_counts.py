@@ -9,11 +9,13 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactroc import (
     auc_trapezoid,
+    dataset_from_classes,
     dataset_from_pairs,
     pair_probability_fast,
     parse_input,
@@ -125,3 +127,17 @@ def test_scores_past_the_float_range_keep_their_exact_order(tmp_path, capsys):
     assert main(["check", "--input", str(path)]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 7 and all(row.startswith("ok    ") for row in rows)
+
+
+@pytest.mark.parametrize(
+    ("pos", "neg"),
+    [
+        # equal as floats, not exactly: only the exact sort after the float presort orders them
+        (["0.10000000000000000001", "0.1", "0.3"], ["0.10000000000000000001", "0.1", "0"]),
+        # float() overflows: the presort is skipped and the exact sort alone orders them
+        (["1e400", "0.5", "-1e400"], ["1e400", "-1e400", "0.5", "2", "-1e400"]),
+    ],
+)
+def test_sorted_merge_oracle_where_float_order_is_not_exact_order(pos, neg):
+    d = dataset_from_classes(pos, neg)
+    assert pair_probability_sorted(d) == pair_probability_bruteforce(d)
