@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cache
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal
 
@@ -35,6 +34,7 @@ from .roc import RocCurve, auc_trapezoid, roc_curve
 from .stieltjes import integrate, negative_differential, rate_step_function
 
 _LABELS = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "false": False}
+_DELIMITERS = {"csv": ",", "tsv": "\t"}
 
 
 class ParseError(ValueError):
@@ -128,17 +128,26 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
 
     Scores are decimal text, read exactly. Labels accept 1/0, pos/neg, true/false
     (case-insensitive). A single leading header line is skipped when neither of its
-    fields makes sense as data. Raises ParseError with the offending line number, or
-    DegenerateClassesError when only one class is present.
+    fields makes sense as data. Each distinct field text is read once: a row whose two
+    fields both occurred in an earlier data row costs two dict lookups. Raises ParseError
+    with the offending line number, or DegenerateClassesError when only one class is present.
     """
+    if fmt not in _DELIMITERS:
+        raise ValueError(f"fmt must be 'csv' or 'tsv', not {fmt!r}")
     lines = io.StringIO(source) if isinstance(source, str) else source
     positives: list[Fraction] = []
     negatives: list[Fraction] = []
-    parse_score = cache(score)  # once per distinct text; equal texts share one object
-    reader = csv.reader(lines, delimiter="," if fmt == "csv" else "\t")
+    scores: dict[str, Fraction] = {}  # raw and stripped texts; equal texts share one object
+    columns: dict[str, list[Fraction]] = {}  # raw label text -> its class's column
+    reader = csv.reader(lines, delimiter=_DELIMITERS[fmt])
     first_data_row = True
     try:
         for row in reader:
+            if len(row) == 2:  # both fields seen in an accepted row: this row is accepted too
+                value, column = scores.get(row[0]), columns.get(row[1])
+                if value is not None and column is not None:
+                    column.append(value)
+                    continue
             line = reader.line_num
             if not "".join(row).strip():
                 continue
@@ -147,7 +156,7 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
             score_text, label_text = row[0].strip(), row[1].strip()
             label = _LABELS.get(label_text.lower())
             try:
-                value = parse_score(score_text)
+                value = scores[score_text] if score_text in scores else score(score_text)
             except (ValueError, ZeroDivisionError):
                 if first_data_row and label is None:
                     first_data_row = False  # header line
@@ -155,7 +164,10 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
                 raise ParseError(line, f"cannot read score {score_text!r}") from None
             if label is None:
                 raise ParseError(line, f"cannot read label {label_text!r}")
-            (positives if label else negatives).append(value)
+            column = positives if label else negatives
+            column.append(value)
+            scores[row[0]] = scores[score_text] = value
+            columns[row[1]] = column
             first_data_row = False
     except csv.Error as e:  # e.g. a field past csv.field_size_limit()
         raise ParseError(reader.line_num, str(e)) from None
@@ -186,6 +198,8 @@ def emit_report(r: RocReport, mode: Literal["json", "text"] = "json") -> str:
 
     Both modes render the same fields in the same order; text gives one per line.
     """
+    if mode not in ("json", "text"):
+        raise ValueError(f"mode must be 'json' or 'text', not {mode!r}")
     return "".join(_report_pieces(r, mode))
 
 

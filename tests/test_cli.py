@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -28,6 +29,7 @@ from exactroc import (
     run_report,
 )
 from exactroc.cli import emit_curve_svg, main
+from exactroc.core import Dataset
 from datagen import random_dataset
 
 COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
@@ -139,6 +141,113 @@ def test_parse_single_class_is_degenerate():
         parse_input("0.5,1\n0.7,1\n")
     with pytest.raises(DegenerateClassesError):
         parse_input("")
+
+
+def test_parse_input_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="^fmt must be 'csv' or 'tsv', not 'CSV'$"):
+        parse_input(COUNTEREXAMPLE_CSV, fmt="CSV")
+
+
+def _parse_row_by_row(text):
+    """parse_input without its memo: every row is checked, stripped and read afresh."""
+    labels = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "false": False}
+    positives, negatives = [], []
+    reader = csv.reader(io.StringIO(text))
+    first_data_row = True
+    try:
+        for row in reader:
+            line = reader.line_num
+            if not "".join(row).strip():
+                continue
+            if len(row) != 2:
+                raise ParseError(line, f"expected 2 fields, got {len(row)}")
+            score_text, label_text = row[0].strip(), row[1].strip()
+            label = labels.get(label_text.lower())
+            try:
+                value = Fraction(score_text)
+            except (ValueError, ZeroDivisionError):
+                if first_data_row and label is None:
+                    first_data_row = False
+                    continue
+                raise ParseError(line, f"cannot read score {score_text!r}") from None
+            if label is None:
+                raise ParseError(line, f"cannot read label {label_text!r}")
+            (positives if label else negatives).append(value)
+            first_data_row = False
+    except csv.Error as e:
+        raise ParseError(reader.line_num, str(e)) from None
+    return Dataset(positives, negatives)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return ("ParseError", e.line, str(e))
+    except DegenerateClassesError as e:
+        return ("DegenerateClassesError", str(e))
+
+
+MEMO_SCORES = ["0.5", " 0.5", '"0.5"', "0.50", "1/2", "0.25 ", "bad", ""]
+MEMO_LABELS = ["1", "0", "POS", " neg", "maybe"]
+MEMO_ODD_ROWS = ["", ",", "0.5,1,x", '"0.5\n",1', '0.25,"\n0"']
+
+
+@given(
+    st.booleans(),
+    st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(MEMO_SCORES), st.sampled_from(MEMO_LABELS)).map(",".join),
+            st.sampled_from(MEMO_ODD_ROWS),
+        ),
+        max_size=30,
+    ),
+)
+@settings(max_examples=400)
+def test_parse_input_memo_changes_nothing(header, rows):
+    text = "\n".join((["score,label"] if header else []) + rows) + "\n"
+    assert _outcome(parse_input, text) == _outcome(_parse_row_by_row, text)
+
+
+@pytest.mark.parametrize(
+    ("text", "line", "message"),
+    [
+        ("0.5,1\n0.5,0\n0.5,1\n 0.5,0\nbad,1\n", 5, "cannot read score 'bad'"),
+        ("0.5,1\n0.5,0\n0.5,1\n0.5,0\n0.5,maybe\n", 5, "cannot read label 'maybe'"),
+        ('"0.5\n",1\n"0.5\n",0\n"0.5\n",1\n0.5,1,x\n', 7, "expected 2 fields, got 3"),
+        ('0.5,"\n1"\n0.5,"\n1"\n0.5,0\n0.5,"\nmaybe"\n', 7, "cannot read label 'maybe'"),
+    ],
+    ids=["score-after-hits", "label-after-hits", "fields-after-quoted", "quoted-label"],
+)
+def test_parse_input_error_lines_after_memo_hits(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_input(text)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+    assert _outcome(_parse_row_by_row, text) == ("ParseError", line, str(exc.value))
+
+
+def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
+    import exactroc.cli as cli_module
+
+    calls = []
+    score = cli_module.score
+
+    def counting_score(text):
+        calls.append(text)
+        return score(text)
+
+    monkeypatch.setattr(cli_module, "score", counting_score)
+    rng = random.Random(0)
+    spellings = [
+        "0.5", " 0.5", '"0.5"', "0.5 ", "0.50", "1/2", "0.25", " 0.25", "-3", "1e-3", "7/20"
+    ]
+    labels = ["1", "0", "pos", " NEG"]
+    text = "".join(f"{rng.choice(spellings)},{rng.choice(labels)}\n" for _ in range(10_000))
+    d = parse_input(text)
+    assert len(d) == 10_000
+    assert sorted(calls) == sorted(["0.5", "0.50", "1/2", "0.25", "-3", "1e-3", "7/20"])
+    halves = parse_input(' 0.5,1\n"0.5",0\n0.5,1\n0.5 ,0\n')
+    assert len({id(s) for s in halves.positives + halves.negatives}) == 1
 
 
 def test_run_report_counterexample():
@@ -308,6 +417,11 @@ def test_emit_report_json_is_laid_out_as_json_dumps(seed, kind):
 def test_emit_report_text_mode():
     for text, lines in REPORT_TEXT.items():
         assert emit_report(run_report(parse_input(text)), "text") == "\n".join(lines) + "\n"
+
+
+def test_emit_report_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="^mode must be 'json' or 'text', not 'xml'$"):
+        emit_report(run_report(parse_input(COUNTEREXAMPLE_CSV)), "xml")
 
 
 def test_svg_is_valid_xml_with_one_point_per_curve_vertex():
