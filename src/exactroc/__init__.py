@@ -8,8 +8,8 @@ decidable equalities, not approximations.
 
 Every other name is imported from the module that defines it: the oracles
 from `exactroc.roc` and `exactroc.pairwise`, the step-function calculus from
-`exactroc.stieltjes`, and the continuous Laplace lab (numpy, scipy) from
-`exactroc.contlab`.
+`exactroc.stieltjes`, and the continuous Laplace lab (floating point,
+standard library only) from `exactroc.contlab`.
 """
 
 from .core import Dataset, DegenerateClassesError, dataset_from_classes, dataset_from_pairs

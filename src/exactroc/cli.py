@@ -22,6 +22,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal
 
+from .contlab import LaplaceTieModel, area_consistency_check, jump_certificate
 from .core import Dataset, DegenerateClassesError, Rational, score
 from .pairwise import (
     TieReport,
@@ -351,9 +352,6 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_contlab(args: argparse.Namespace) -> int:
-    # Imported here: contlab needs numpy and scipy, which nothing else loads.
-    from .contlab import LaplaceTieModel, area_consistency_check, jump_certificate
-
     try:
         model = LaplaceTieModel(args.epsilon)
         cert = jump_certificate(model, args.delta)

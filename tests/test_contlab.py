@@ -12,6 +12,8 @@ from exactroc.contlab import (
 )
 
 EPSILONS = [0.1, 0.25, 0.4]
+# the Simpson rule's error vs the closed form is largest at the ends of (0, 1/2)
+QUADRATURE_EPSILONS = [0.01, *EPSILONS, 0.49]
 
 
 def analytic_area(eps: float) -> float:
@@ -111,7 +113,7 @@ def test_jump_certificate_rejects_out_of_range_delta():
             jump_certificate(m, delta)
 
 
-@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("eps", QUADRATURE_EPSILONS)
 def test_area_quadrature_matches_closed_form(eps):
     m = LaplaceTieModel(epsilon=eps)
     out = area_consistency_check(m, samples=1000, seed=0)
