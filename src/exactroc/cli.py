@@ -216,7 +216,7 @@ def _report_pieces(r: RocReport, mode: Literal["json", "text"]) -> Iterator[str]
         "tie_bound": r.tie.bound,
     }
     shared = ((_frac(s.score), _frac(s.pos_mass), _frac(s.neg_mass)) for s in r.tie.shared_scores)
-    curve = ((_frac(p.fpr), _frac(p.tpr)) for p in r.curve.points)
+    curve = ((_frac(p.fpr), _frac(p.tpr)) for p in r.curve)
     holds = str(r.hypothesis_holds).lower()
     if mode == "json":
         yield f'{{\n  "n_pos": {r.n_pos},\n  "n_neg": {r.n_neg},\n  "hypothesis_holds": {holds},\n'
@@ -289,7 +289,7 @@ def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
         f'<line x1="{fx(0):.2f}" y1="{fy(0):.2f}" x2="{fx(1):.2f}" y2="{fy(1):.2f}" '
         f'stroke="gray" stroke-dasharray="4 3"/>'
     )
-    coords = " ".join(f"{fx(p.fpr):.2f},{fy(p.tpr):.2f}" for p in c.points)
+    coords = " ".join(f"{fx(p.fpr):.2f},{fy(p.tpr):.2f}" for p in c)
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="crimson" stroke-width="2"/>'
     )

@@ -12,6 +12,7 @@ every quantity is a function of the two samples, never of how they interleave.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,10 @@ Rational = Fraction
 # restricted to [0, 1].
 Score = Fraction
 
+# Largest decimal exponent magnitude a score may have. Fraction("1e-20000") takes
+# 0.5 ms; Fraction("1e-99999999999") would build 10**99999999999 and never finish.
+MAX_EXPONENT = 20_000
+
 
 class DegenerateClassesError(ValueError):
     """The observations do not contain both a positive and a negative."""
@@ -36,7 +41,8 @@ def score(value: Score | int | str) -> Score:
 
     Accepts Fraction, int, or strings such as "0.35", "-2", "1e-3", "7/20".
     Floats are rejected: a float has already been rounded to binary and can
-    silently create or destroy ties.
+    silently create or destroy ties. Text with an exponent beyond MAX_EXPONENT
+    in magnitude is rejected with ValueError before any arithmetic.
     """
     if isinstance(value, float):
         raise TypeError(
@@ -47,7 +53,18 @@ def score(value: Score | int | str) -> Score:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    return Fraction(str(value))
+    text = str(value)
+    if "_" in text and not re.search(r"(?<!\d)_|_(?!\d)", text):
+        text = text.replace("_", "")  # digit separators, which Fraction reads only from 3.11 on
+    _, e, exponent = text.replace("E", "e").rpartition("e")
+    if e:
+        try:
+            magnitude = abs(int(exponent))  # int() reads any Unicode digits
+        except ValueError:
+            magnitude = 0  # not an exponent: Fraction rejects the whole text below
+        if magnitude > MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 class CountTable(NamedTuple):

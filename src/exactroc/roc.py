@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Dataset, Rational, Score
 
@@ -25,19 +24,26 @@ class RocPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Distinct ROC points in sweep order, (1,1) first, (0,0) last."""
+    """Negatives and positives scoring >= each threshold: class sizes first, zeros last."""
 
-    points: tuple[RocPoint, ...]
+    neg_ge: tuple[int, ...]
+    pos_ge: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        pts = self.points
-        if pts[0] != (1, 1) or pts[-1] != (0, 0):
-            raise ValueError("curve must run from (1,1) to (0,0)")
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
+        f, t = self.neg_ge, self.pos_ge
+        if len(f) != len(t) or not f or min(f[0], t[0]) <= 0 or (f[-1], t[-1]) != (0, 0):
+            raise ValueError("count columns must be equally long, from (1,1) to (0,0)")
+        for f0, f1, t0, t1 in zip(f, f[1:], t, t[1:]):
+            if f0 == f1 and t0 == t1:
                 raise ValueError("consecutive curve points must be distinct")
-            if b.fpr > a.fpr or b.tpr > a.tpr:
-                raise ValueError("rates must be non-increasing along the sweep")
+            if f1 > f0 or t1 > t0:
+                raise ValueError("counts must be non-increasing along the sweep")
+
+    def __iter__(self) -> Iterator[RocPoint]:  # the points as exact rates, one at a time
+        f, t = self.neg_ge, self.pos_ge
+        return (RocPoint(Fraction(a, f[0]), Fraction(b, t[0])) for a, b in zip(f, t))
+
+    points = property(tuple)  # all of them at once, built afresh on each read
 
 
 def tpr_at(d: Dataset, tau: Score) -> Rational:
@@ -58,22 +64,16 @@ def roc_curve(d: Dataset) -> RocCurve:
     table; every distinct score is attained, so consecutive points differ.
     """
     t = d.counts
-    pos_ge = accumulate(t.pos, sub, initial=d.n_pos)
-    neg_ge = accumulate(t.neg, sub, initial=d.n_neg)
-    points = tuple(
-        RocPoint(Fraction(f, d.n_neg), Fraction(r, d.n_pos)) for f, r in zip(neg_ge, pos_ge)
-    )
-    return RocCurve(points=points)
+    neg_ge = tuple(accumulate(t.neg, sub, initial=d.n_neg))
+    pos_ge = tuple(accumulate(t.pos, sub, initial=d.n_pos))
+    return RocCurve(neg_ge, pos_ge)
 
 
 def auc_trapezoid(c: RocCurve) -> Rational:
     """Trapezoid sum sum_k (T_k + T_{k+1})/2 * (F_k - F_{k+1}), exact.
 
-    Summed in integers over each axis's common denominator (a class size, from roc_curve).
+    Summed in the integer counts, then divided once by 2 * n_neg * n_pos.
     """
-    f_den = lcm(*(p.fpr.denominator for p in c.points))
-    t_den = lcm(*(p.tpr.denominator for p in c.points))
-    f = [p.fpr.numerator * (f_den // p.fpr.denominator) for p in c.points]
-    t = [p.tpr.numerator * (t_den // p.tpr.denominator) for p in c.points]
+    f, t = c.neg_ge, c.pos_ge
     twice = sum((t0 + t1) * (f0 - f1) for t0, t1, f0, f1 in zip(t, t[1:], f, f[1:]))
-    return Fraction(twice, 2 * f_den * t_den)
+    return Fraction(twice, 2 * f[0] * t[0])

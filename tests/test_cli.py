@@ -557,6 +557,24 @@ def test_main_report_holds_neither_the_whole_input_nor_the_whole_output(tmp_path
     assert peak < 4 * path.stat().st_size
 
 
+def test_main_report_never_holds_the_whole_curve_as_fractions(tmp_path):
+    # 2e4 rows of distinct float scores, so the curve has a point per row. The peak is
+    # about 20x the file size; holding the curve as two Fractions a point makes it 31x.
+    rng = random.Random(13)
+    path = tmp_path / "distinct.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        for _ in range(20_000):
+            fh.write(f"{rng.random()!r},{rng.randint(0, 1)}\n")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["report", "--input", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 26 * path.stat().st_size
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
 def test_main_unreadable_input_exits_1(tmp_path, capsys, kind):
     path = tmp_path / "d.csv"
@@ -748,6 +766,29 @@ def test_main_report_prints_a_score_past_the_int_str_digit_limit(tmp_path, capsy
         assert json.loads(out)["shared_scores"][0]["score"] == exact
     else:
         assert f"shared_score      {exact} " in out
+
+
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_main_rejects_a_score_exponent_past_the_cap(tmp_path, command):
+    # Reading this score exactly would build 10**99999999999. The child runs under an
+    # address-space limit and a timeout, so a missing cap fails the test by timing out.
+    path = _write(tmp_path, "d.csv", "1e-99999999999,1\n0,0\n")
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from exactroc.cli import main\n"
+        f"sys.exit(main([{command!r}, '--input', {path!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: line 1: cannot read score '1e-99999999999'\n"
+    assert proc.stdout == ""
 
 
 def test_main_contlab_prints_certificate(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exactroc import Dataset, DegenerateClassesError, dataset_from_classes, dataset_from_pairs
-from exactroc.core import score
+from exactroc.core import MAX_EXPONENT, score
 from datagen import random_dataset
 
 
@@ -21,6 +21,17 @@ def test_score_parses_decimal_text_exactly():
 def test_score_rejects_floats():
     with pytest.raises(TypeError):
         score(0.35)
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_score_exponent_magnitude_is_capped(sign):
+    assert MAX_EXPONENT == 20_000
+    assert score(f"1e{sign}20000") == Fraction(10) ** int(f"{sign}20000")
+    assert score(f"2.5E{sign}2_0000") == Fraction(5, 2) * Fraction(10) ** int(f"{sign}20000")
+    # one past the cap, spelled plainly, with underscores, and in Arabic-Indic digits
+    for exponent in ("20001", "2_0001", "٢٠٠٠١", "99999999999"):
+        with pytest.raises(ValueError, match="exceeds 20000 in magnitude"):
+            score(f"1e{sign}{exponent}")
 
 
 def test_counterexample_dataset_is_valid():

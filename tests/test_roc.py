@@ -88,30 +88,42 @@ def test_auc_mixed(mixed):
 
 
 def test_auc_of_a_curve_with_unrelated_denominators():
-    pts = (
+    # points (1,1), (2/3,1/2), (1/5,1/7), (0,0) as counts over 15 negatives and 14 positives
+    c = RocCurve(neg_ge=(15, 10, 3, 0), pos_ge=(14, 7, 2, 0))
+    assert c.points == (
         RocPoint(Fraction(1), Fraction(1)),
         RocPoint(Fraction(2, 3), Fraction(1, 2)),
         RocPoint(Fraction(1, 5), Fraction(1, 7)),
         RocPoint(Fraction(0), Fraction(0)),
     )
-    c = RocCurve(points=pts)
     # twice the area: (3/2)(1/3) + (9/14)(7/15) + (1/7)(1/5) = 1/2 + 3/10 + 1/35
     assert auc_trapezoid(c) == Fraction(29, 70)
 
 
 def test_curve_rejects_bad_endpoints():
-    with pytest.raises(ValueError):
-        RocCurve(points=(RocPoint(Fraction(1), Fraction(1)), RocPoint(Fraction(0), Fraction(1, 2))))
+    # from (1,1) to (0,1/2) over one negative and two positives
+    with pytest.raises(ValueError, match=r"from \(1,1\) to \(0,0\)"):
+        RocCurve(neg_ge=(1, 0), pos_ge=(2, 1))
 
 
 def test_curve_rejects_duplicate_points():
-    pts = (
-        RocPoint(Fraction(1), Fraction(1)),
-        RocPoint(Fraction(1), Fraction(1)),
-        RocPoint(Fraction(0), Fraction(0)),
-    )
-    with pytest.raises(ValueError):
-        RocCurve(points=pts)
+    with pytest.raises(ValueError, match="distinct"):
+        RocCurve(neg_ge=(1, 1, 0), pos_ge=(1, 1, 0))
+
+
+@pytest.mark.parametrize(
+    ("neg_ge", "pos_ge", "message"),
+    [
+        ((2, 1, 0), (1, 0), "equally long"),
+        ((0, 0), (1, 0), r"from \(1,1\)"),  # no negatives: the first entry is a class size
+        ((2, 1, 2, 0), (1, 1, 0, 0), "non-increasing"),
+        ((2, 1, 1, 0), (2, 1, 2, 0), "non-increasing"),
+    ],
+    ids=["unequal-lengths", "zero-class-size", "negatives-increase", "positives-increase"],
+)
+def test_curve_rejects_malformed_count_columns(neg_ge, pos_ge, message):
+    with pytest.raises(ValueError, match=message):
+        RocCurve(neg_ge=neg_ge, pos_ge=pos_ge)
 
 
 @given(st.integers(0, 10**6))
