@@ -1,9 +1,9 @@
 """Sweep random tied datasets and summarize the area/pair-probability gap.
 
-Every dataset is pushed through the full exact pipeline; the script asserts
-the identities (they are exact, so any failure is a bug) and then reports
-how large the tie correction actually gets in practice and how tight its
-bound is.
+Every dataset is pushed through the full exact pipeline by `run_report`, which
+checks every exact identity and raises IdentityError on the first that fails
+(they are exact, so any failure is a bug). The script then reports how large
+the tie correction actually gets in practice and how tight its bound is.
 
 Usage: python scripts/tie_sweep.py [--datasets N] [--max-size N] [--seed S]
 """
@@ -12,13 +12,7 @@ import argparse
 import random
 from fractions import Fraction
 
-from exactroc import (
-    auc_trapezoid,
-    dataset_from_pairs,
-    pair_probability_fast,
-    roc_curve,
-    tie_report,
-)
+from exactroc import dataset_from_pairs, run_report
 
 
 def make_dataset(rng: random.Random, max_size: int):
@@ -49,11 +43,7 @@ def main() -> int:
     worst = None
     for _ in range(args.datasets):
         d = make_dataset(rng, args.max_size)
-        auc = auc_trapezoid(roc_curve(d))
-        pair = pair_probability_fast(d)
-        r = tie_report(d)
-        assert auc - pair == r.correction
-        assert 0 <= r.correction <= r.bound <= Fraction(1, 2)
+        r = run_report(d).tie
         corrections.append(r.correction)
         slacks.append(r.bound - r.correction)
         if worst is None or r.correction > worst[0]:

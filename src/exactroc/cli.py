@@ -310,10 +310,10 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
             f"{_frac(e.pair_probability)} vs {_frac(merged)}",
         ),
     )
-    # one image per distinct score: equal scores share one object, which the
-    # image's count table then tallies once
-    image = {s: (7 * s - 3) / 5 for s in d.counts.scores}
-    shift = Dataset(tuple(map(image.get, d.positives)), tuple(map(image.get, d.negatives)))
+    image = {s.as_integer_ratio(): (7 * s - 3) / 5 for s in d.counts.scores}  # one per value
+    shift = Dataset(
+        *([image[s.as_integer_ratio()] for s in c] for c in (d.positives, d.negatives))
+    )
     rows.append(
         (
             "invariance under increasing affine score map",

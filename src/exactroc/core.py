@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 # Exact reduced fraction with positive denominator; equality is decidable.
 Rational = Fraction
@@ -96,7 +96,7 @@ class Dataset:
         if not self.negatives:
             raise DegenerateClassesError("dataset has no negative observation")
 
-    @cached_property  # read once per curve point and per shared score
+    @cached_property
     def n_pos(self) -> int:
         return len(self.positives)
 
@@ -116,22 +116,27 @@ class Dataset:
     def counts(self) -> CountTable:
         """The per-score class counts every exact quantity is computed from.
 
-        Each column is tallied per score object first, hashing ints where
-        hashing a Fraction is slow; then the distinct objects merge by value.
+        Each column is tallied per score object first, then the distinct objects merge
+        by integer ratio: a Fraction is reduced, so equal values have equal ratios.
         """
-        merged: dict[Score, list] = {}
+        merged: dict[tuple[int, int], list] = {}
         for column, k in ((self.positives, 1), (self.negatives, 2)):
             objects = dict(zip(map(id, column), column))
             for i, c in Counter(map(id, column)).items():
                 s = objects[i]
-                merged.setdefault(s, [s, 0, 0])[k] += c
-        rows = list(merged.values())
-        try:  # a cheap presort by float leaves the exact sort little to reorder
-            rows.sort(key=lambda row: float(row[0]))
-        except OverflowError:
-            pass
-        rows.sort(key=itemgetter(0))
-        return CountTable(*zip(*rows))
+                merged.setdefault(s.as_integer_ratio(), [s, 0, 0])[k] += c
+        return CountTable(*zip(*sorted_exact(merged.values(), key=itemgetter(0))))
+
+
+def sorted_exact(items: Iterable, key: Callable | None = None) -> list:
+    """`sorted(items, key=key)`, where `key` of an item (or the item) is an exact score."""
+    items = list(items)
+    try:  # a cheap presort by float leaves the exact sort little to reorder
+        items.sort(key=float if key is None else lambda item: float(key(item)))
+    except OverflowError:
+        pass
+    items.sort(key=key)
+    return items
 
 
 def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Dataset:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Dataset, Rational, Score
+from .core import Dataset, Rational, Score, sorted_exact
 
 
 class SharedScore(NamedTuple):
@@ -72,13 +72,7 @@ def pair_probability_sorted(d: Dataset) -> Rational:
     the pointer advances past every negative strictly below it, and the
     pointer's position is that positive's number of wins.
     """
-    negatives, positives = list(d.negatives), list(d.positives)
-    for column in (negatives, positives):
-        try:  # a cheap presort by float leaves the exact sort little to reorder
-            column.sort(key=float)
-        except OverflowError:
-            pass
-        column.sort()
+    negatives, positives = sorted_exact(d.negatives), sorted_exact(d.positives)
     wins = below = 0
     for p in positives:
         while below < len(negatives) and negatives[below] < p:

@@ -631,6 +631,27 @@ def test_main_check_ok(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_equal_scores_group_without_hashing_a_fraction(tmp_path, capsys, monkeypatch):
+    # hashing a Fraction is slow, and from Python 3.12 on it fills a cache
+    def unhashable(self):
+        raise TypeError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", unhashable)
+    # one value, spelled four ways, each in both classes
+    text = "".join(f"{s},{c}\n" for s in ("0.5", "1/2", "50e-2", ".50") for c in (1, 0))
+    text += "0.9,1\n0.1,0\n"
+    d = parse_input(text)
+    assert [s.score for s in run_report(d).tie.shared_scores] == [Fraction(1, 2)]
+    assert all(ok for _, ok, _ in identity_suite(d))
+    path = _write(tmp_path, "spellings.csv", text)
+    assert main(["report", "--input", path]) == 0
+    shared = json.loads(capsys.readouterr().out)["shared_scores"]
+    assert shared == [{"score": "1/2", "pos_mass": "4/5", "neg_mass": "4/5"}]
+    assert main(["check", "--input", path]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "(hypothesis False, shared 1, " in out
+
+
 CHECK_OK = {
     MIXED_CSV: [
         "ok    trapezoid area = balanced Stieltjes integral (7/8 vs 7/8)",
