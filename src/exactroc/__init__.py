@@ -12,7 +12,7 @@ from `exactroc.roc` and `exactroc.pairwise`, the step-function calculus from
 standard library only) from `exactroc.contlab`.
 """
 
-from .core import Dataset, DegenerateClassesError, dataset_from_classes, dataset_from_pairs
+from .core import Dataset, DegenerateClassesError, dataset_from_pairs
 from .roc import auc_trapezoid, roc_curve
 from .pairwise import pair_probability_fast, tie_report
 from .cli import IdentityError, ParseError, emit_report, identity_suite, parse_input, run_report
@@ -25,7 +25,6 @@ __all__ = [
     "IdentityError",
     "ParseError",
     "auc_trapezoid",
-    "dataset_from_classes",
     "dataset_from_pairs",
     "emit_report",
     "identity_suite",

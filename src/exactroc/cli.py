@@ -95,21 +95,9 @@ def _identities(r: RocReport | SimpleNamespace) -> list[tuple[str, bool, str]]:
     """The exact identities every evaluation satisfies; (name, passed, detail) rows."""
     auc, pair, tie = r.auc, r.pair_probability, r.tie
     return [
-        (
-            "trapezoid area = balanced Stieltjes integral",
-            auc == r.balanced_integral,
-            f"{_frac(auc)} vs {_frac(r.balanced_integral)}",
-        ),
-        (
-            "strict pair probability = right-limit Stieltjes integral",
-            pair == r.right_integral,
-            f"{_frac(pair)} vs {_frac(r.right_integral)}",
-        ),
-        (
-            "area - pair probability = tie correction",
-            auc - pair == tie.correction,
-            f"{_frac(auc - pair)} vs {_frac(tie.correction)}",
-        ),
+        _equal("trapezoid area = balanced Stieltjes integral", auc, r.balanced_integral),
+        _equal("strict pair probability = right-limit Stieltjes integral", pair, r.right_integral),
+        _equal("area - pair probability = tie correction", auc - pair, tie.correction),
         (
             "0 <= correction <= bound <= 1/2",
             0 <= tie.correction <= tie.bound <= Fraction(1, 2),
@@ -122,6 +110,11 @@ def _identities(r: RocReport | SimpleNamespace) -> list[tuple[str, bool, str]]:
             f"auc {_frac(auc)}, pair {_frac(pair)}",
         ),
     ]
+
+
+def _equal(name: str, a: Rational, b: Rational) -> tuple[str, bool, str]:
+    """The identity row `name`: a == b, with both exact sides as its detail."""
+    return name, a == b, f"{_frac(a)} vs {_frac(b)}"
 
 
 def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
@@ -302,14 +295,7 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     e = _evaluate(d)
     merged = pair_probability_sorted(d)
     rows = _identities(e)
-    rows.insert(
-        2,
-        (
-            "fast pair count = sorted-merge pair count",
-            e.pair_probability == merged,
-            f"{_frac(e.pair_probability)} vs {_frac(merged)}",
-        ),
-    )
+    rows.insert(2, _equal("fast pair count = sorted-merge pair count", e.pair_probability, merged))
     image = {s.as_integer_ratio(): (7 * s - 3) / 5 for s in d.counts.scores}  # one per value
     shift = Dataset(
         *([image[s.as_integer_ratio()] for s in c] for c in (d.positives, d.negatives))

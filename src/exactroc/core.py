@@ -1,10 +1,10 @@
 """Exact arithmetic and the dataset model.
 
-Every quantity downstream (rates, areas, pair probabilities, tie terms) is a
-ratio of integer counts, so everything is carried as `fractions.Fraction`.
-Scores enter as decimal text and are converted to exact rationals; binary
-floating point is deliberately kept out of the data path because ties are
-decided by exact score equality.
+Scores are `fractions.Fraction`s and counts are ints: every quantity
+downstream (rates, areas, pair probabilities, tie terms) is a ratio of integer
+counts. `Dataset` is the one place outside values become exact scores: decimal
+text and ints are read exactly, and binary floating point is deliberately kept
+out of the data path because ties are decided by exact score equality.
 
 A dataset is its two class columns, positive scores and negative scores:
 every quantity is a function of the two samples, never of how they interleave.
@@ -79,8 +79,12 @@ class CountTable(NamedTuple):
 class Dataset:
     """Finite observation set: the positive class's scores and the negative class's.
 
-    Duplicate scores are allowed and counted with multiplicity (the
-    underlying measure is counting measure). Both classes must be non-empty.
+    The constructor takes each column as any iterable of Fractions, ints or score
+    text, and `__post_init__` stores it as the tuple of exact scores the fields are
+    typed as: every element goes through `score()`, which keeps a Fraction as the
+    same object, reads ints and text exactly and raises TypeError on a float.
+    Duplicate scores are allowed and counted with multiplicity (the underlying
+    measure is counting measure). Both classes must be non-empty.
     """
 
     positives: tuple[Score, ...]
@@ -88,7 +92,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         for name in ("positives", "negatives"):  # tuples hash, and no caller can grow them
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            object.__setattr__(self, name, tuple(map(score, getattr(self, name))))
         if not self.positives and not self.negatives:
             raise DegenerateClassesError("dataset is empty")
         if not self.positives:
@@ -106,11 +110,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n_pos + self.n_neg
-
-    @property
-    def distinct_scores(self) -> tuple[Score, ...]:
-        """All attained scores, deduplicated, ascending."""
-        return self.counts.scores
 
     @cached_property
     def counts(self) -> CountTable:
@@ -140,20 +139,15 @@ def sorted_exact(items: Iterable, key: Callable | None = None) -> list:
 
 
 def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Dataset:
-    """Build a Dataset from (score, is_positive) pairs.
+    """Build a Dataset from (score, is_positive) pairs, split into the two columns.
 
-    Scores go through `score()` (exact text or exact numbers only). Raises
-    DegenerateClassesError unless both classes are represented.
+    `Dataset` reads the scores, so each is read once and a float raises TypeError.
+    Errors are reported column by column: every positive score is read before any
+    negative, so a bad positive is named even when a bad negative comes first.
+    Raises DegenerateClassesError unless both classes are represented.
     """
-    positives: list[Score] = []
-    negatives: list[Score] = []
+    positives: list[Score | int | str] = []
+    negatives: list[Score | int | str] = []
     for s, pos in pairs:
-        (positives if pos else negatives).append(score(s))
-    return Dataset(tuple(positives), tuple(negatives))
-
-
-def dataset_from_classes(
-    positives: Iterable[Score | int | str], negatives: Iterable[Score | int | str]
-) -> Dataset:
-    """Convenience constructor from two score collections."""
-    return Dataset(tuple(map(score, positives)), tuple(map(score, negatives)))
+        (positives if pos else negatives).append(s)
+    return Dataset(positives, negatives)

@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from exactroc import (
+    Dataset,
     auc_trapezoid,
-    dataset_from_classes,
     pair_probability_fast,
     roc_curve,
     tie_report,
@@ -72,7 +72,7 @@ def test_criterion_1_single_shared_score_report(capsys):
         c = Fraction(7, 20)
 
         def evaluate():
-            d = dataset_from_classes([c], [c])
+            d = Dataset([c], [c])
             return auc_trapezoid(roc_curve(d)), pair_probability_fast(d), tie_report(d)
 
         evaluate()  # warm-up
@@ -162,7 +162,7 @@ def test_criterion_8_invariance_under_increasing_score_map(capsys):
         rng = random.Random(20260822)
         for i in range(100):
             d = random_dataset(rng, max_size=120, force_tie=(i % 2 == 0))
-            mapped = dataset_from_classes(
+            mapped = Dataset(
                 [s**3 + 2 * s for s in d.positives], [s**3 + 2 * s for s in d.negatives]
             )
             assert auc_trapezoid(roc_curve(mapped)) == auc_trapezoid(roc_curve(d))

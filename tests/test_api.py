@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "Dataset",
-    "dataset_from_classes",
     "dataset_from_pairs",
     "parse_input",
     "roc_curve",

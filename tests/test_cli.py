@@ -20,7 +20,6 @@ from exactroc import (
     DegenerateClassesError,
     IdentityError,
     ParseError,
-    dataset_from_classes,
     dataset_from_pairs,
     emit_report,
     identity_suite,
@@ -878,5 +877,5 @@ def test_import_leaves_numpy_and_scipy_unloaded():
 
 def test_run_report_matches_dataset_built_directly():
     via_text = run_report(parse_input(MIXED_CSV))
-    via_api = run_report(dataset_from_classes(["0.5", "0.9"], ["0.5", "0.1"]))
+    via_api = run_report(Dataset(["0.5", "0.9"], ["0.5", "0.1"]))
     assert emit_report(via_text) == emit_report(via_api)

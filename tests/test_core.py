@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactroc import Dataset, DegenerateClassesError, dataset_from_classes, dataset_from_pairs
+from exactroc import Dataset, DegenerateClassesError, dataset_from_pairs, run_report
 from exactroc.core import MAX_EXPONENT, score
 from datagen import random_dataset
 
@@ -76,6 +76,35 @@ def test_dataset_keeps_its_own_tuple_of_each_column():
     assert hash(d) == hash(Dataset((Fraction(1),), (Fraction(0),)))
 
 
+def test_dataset_reads_its_columns_through_score():
+    def from_pairs(positives, negatives):
+        return dataset_from_pairs([(s, True) for s in positives] + [(s, False) for s in negatives])
+
+    # a float was rounded to binary before it got here, so it is refused, as by score()
+    floats = [(((0.1, 0.5), (0.5, 0.2)), "0.1"), (((Fraction(1),), (0.25,)), "0.25")]
+    for build in (Dataset, from_pairs):
+        for columns, shown in floats:
+            with pytest.raises(TypeError) as exc:
+                build(*columns)
+            assert str(exc.value) == (
+                "float scores are not accepted; pass the decimal text instead "
+                f"(e.g. {shown} as a string)"
+            )
+    with pytest.raises(TypeError, match=r"e\.g\. 0\.2 as"):  # the columns are read in turn
+        dataset_from_pairs([(0.1, False), (0.2, True)])
+    d = Dataset(["0.5", "0.9"], ["1/2", "0.1"])
+    assert d == Dataset((Fraction(1, 2), Fraction(9, 10)), (Fraction(1, 2), Fraction(1, 10)))
+    r = run_report(d)
+    assert (r.auc, r.pair_probability) == (Fraction(7, 8), Fraction(3, 4))
+    ints = Dataset([1, 2], (0,))
+    assert (ints.positives, ints.negatives) == ((Fraction(1), Fraction(2)), (Fraction(0),))
+    assert {type(s) for s in ints.positives + ints.negatives} == {Fraction}
+    with pytest.raises(ValueError, match="exceeds 20000 in magnitude"):
+        Dataset(["1e-99999"], ["0"])
+    half = Fraction(1, 2)
+    assert Dataset([half], [half]).negatives[0] is half  # a column of Fractions keeps its objects
+
+
 def test_four_element_construction():
     d = dataset_from_pairs(
         [("0.9", True), ("0.4", True), ("0.6", False), ("0.2", False)]
@@ -85,7 +114,7 @@ def test_four_element_construction():
 
 
 def test_duplicates_count_with_multiplicity():
-    d = dataset_from_classes(["0.5", "0.5", "0.5"], ["0.1"])
+    d = Dataset(["0.5", "0.5", "0.5"], ["0.1"])
     assert d.n_pos == 3
     assert (d.n_neg, len(d)) == (1, 4)
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactroc import (
+    Dataset,
     auc_trapezoid,
-    dataset_from_classes,
     dataset_from_pairs,
     pair_probability_fast,
     parse_input,
@@ -66,7 +66,7 @@ def test_table_views_match_raw_observation_oracles(rs):
     assert dataset_from_pairs((spellings(k)[i], pos) for k, i, pos in rs) == d
 
     t = d.counts
-    assert t.scores == d.distinct_scores == tuple(sorted(set(pos_scores + neg_scores)))
+    assert t.scores == tuple(sorted(set(pos_scores + neg_scores)))
     assert t.pos == tuple(pos_scores.count(s) for s in t.scores)
     assert t.neg == tuple(neg_scores.count(s) for s in t.scores)
     assert (d.n_pos, d.n_neg) == (n_pos, n_neg)
@@ -139,5 +139,5 @@ def test_scores_past_the_float_range_keep_their_exact_order(tmp_path, capsys):
     ],
 )
 def test_sorted_merge_oracle_where_float_order_is_not_exact_order(pos, neg):
-    d = dataset_from_classes(pos, neg)
+    d = Dataset(pos, neg)
     assert pair_probability_sorted(d) == pair_probability_bruteforce(d)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactroc import (
+    Dataset,
     auc_trapezoid,
-    dataset_from_classes,
     pair_probability_fast,
     roc_curve,
     tie_report,
@@ -25,12 +25,12 @@ C = Fraction(7, 20)
 
 @pytest.fixture
 def counterexample():
-    return dataset_from_classes([C], [C])
+    return Dataset([C], [C])
 
 
 @pytest.fixture
 def mixed():
-    return dataset_from_classes(["0.5", "0.9"], ["0.5", "0.1"])
+    return Dataset(["0.5", "0.9"], ["0.5", "0.1"])
 
 
 def test_bruteforce_tied_pair_is_zero(counterexample):
@@ -38,7 +38,7 @@ def test_bruteforce_tied_pair_is_zero(counterexample):
 
 
 def test_bruteforce_separated_pair_is_one():
-    d = dataset_from_classes(["0.9"], ["0.1"])
+    d = Dataset(["0.9"], ["0.1"])
     assert pair_probability_bruteforce(d) == 1
 
 
@@ -48,7 +48,7 @@ def test_bruteforce_mixed(mixed):
 
 
 def test_fast_matches_on_examples(counterexample, mixed):
-    for d in (counterexample, mixed, dataset_from_classes(["0.8", "0.4"], ["0.6", "0.2"])):
+    for d in (counterexample, mixed, Dataset(["0.8", "0.4"], ["0.6", "0.2"])):
         assert pair_probability_fast(d) == pair_probability_bruteforce(d)
 
 
@@ -63,7 +63,7 @@ def test_tie_report_counterexample(counterexample):
 
 
 def test_tie_report_disjoint_is_trivial():
-    r = tie_report(dataset_from_classes(["0.8", "0.4"], ["0.6", "0.2"]))
+    r = tie_report(Dataset(["0.8", "0.4"], ["0.6", "0.2"]))
     assert r.shared_scores == ()
     assert r.correction == 0
     assert r.bound == 0
@@ -81,7 +81,7 @@ def test_tie_report_mixed(mixed):
 def test_hypothesis_holds(counterexample, mixed):
     assert not hypothesis_holds(counterexample)
     assert not hypothesis_holds(mixed)
-    assert hypothesis_holds(dataset_from_classes(["0.8", "0.4"], ["0.6", "0.2"]))
+    assert hypothesis_holds(Dataset(["0.8", "0.4"], ["0.6", "0.2"]))
 
 
 def test_tie_report_validates_chain():
@@ -143,7 +143,7 @@ def _increasing_map(s: Fraction) -> Fraction:
 def test_pair_quantities_invariant_under_increasing_transform(seed):
     rng = random.Random(seed)
     d = random_dataset(rng, max_size=40, force_tie=rng.random() < 0.5)
-    mapped = dataset_from_classes(
+    mapped = Dataset(
         map(_increasing_map, d.positives), map(_increasing_map, d.negatives)
     )
     assert pair_probability_fast(mapped) == pair_probability_fast(d)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactroc import auc_trapezoid, dataset_from_classes, roc_curve
+from exactroc import Dataset, auc_trapezoid, roc_curve
 from exactroc.roc import RocCurve, RocPoint, fpr_at, tpr_at
 from datagen import random_dataset
 
@@ -15,12 +15,12 @@ C = Fraction(7, 20)
 @pytest.fixture
 def counterexample():
     # one positive and one negative sharing a single score
-    return dataset_from_classes([C], [C])
+    return Dataset([C], [C])
 
 
 @pytest.fixture
 def mixed():
-    return dataset_from_classes(["0.5", "0.9"], ["0.5", "0.1"])
+    return Dataset(["0.5", "0.9"], ["0.5", "0.1"])
 
 
 def test_tpr_at_counterexample(counterexample):
@@ -55,7 +55,7 @@ def test_curve_counterexample(counterexample):
 
 
 def test_curve_perfectly_separated():
-    c = roc_curve(dataset_from_classes(["0.9"], ["0.1"]))
+    c = roc_curve(Dataset(["0.9"], ["0.1"]))
     assert c.points == (
         RocPoint(Fraction(1), Fraction(1)),
         RocPoint(Fraction(0), Fraction(1)),
@@ -79,7 +79,7 @@ def test_auc_counterexample(counterexample):
 
 
 def test_auc_perfect():
-    assert auc_trapezoid(roc_curve(dataset_from_classes(["0.9"], ["0.1"]))) == 1
+    assert auc_trapezoid(roc_curve(Dataset(["0.9"], ["0.1"]))) == 1
 
 
 def test_auc_mixed(mixed):
@@ -130,7 +130,7 @@ def test_curve_rejects_malformed_count_columns(neg_ge, pos_ge, message):
 def test_rates_non_increasing_in_threshold(seed):
     rng = random.Random(seed)
     d = random_dataset(rng)
-    taus = sorted(rng.choice(d.distinct_scores) + Fraction(k, 3) for k in range(-3, 4))
+    taus = sorted(rng.choice(d.counts.scores) + Fraction(k, 3) for k in range(-3, 4))
     for t1, t2 in zip(taus, taus[1:]):
         assert tpr_at(d, t1) >= tpr_at(d, t2)
         assert fpr_at(d, t1) >= fpr_at(d, t2)
@@ -139,7 +139,7 @@ def test_rates_non_increasing_in_threshold(seed):
 @given(st.integers(0, 10**6))
 def test_jumps_only_at_class_scores(seed):
     d = random_dataset(random.Random(seed), max_size=30)
-    distinct = d.distinct_scores
+    distinct = d.counts.scores
     pos_scores, neg_scores = set(d.positives), set(d.negatives)
     for i, tau in enumerate(distinct):
         # probe strictly between tau and the next distinct score
@@ -155,7 +155,7 @@ def _increasing_map(s: Fraction) -> Fraction:
 @given(st.integers(0, 10**6))
 def test_auc_invariant_under_increasing_transform(seed):
     d = random_dataset(random.Random(seed), max_size=40)
-    mapped = dataset_from_classes(
+    mapped = Dataset(
         map(_increasing_map, d.positives), map(_increasing_map, d.negatives)
     )
     assert auc_trapezoid(roc_curve(mapped)) == auc_trapezoid(roc_curve(d))
@@ -176,7 +176,7 @@ def test_curve_points_are_the_rate_pairs_at_thresholds(seed):
     c = roc_curve(d)
     swept = []
     # the distinct scores ascending, then a sentinel strictly above the maximum
-    for t in d.distinct_scores + (d.distinct_scores[-1] + 1,):
+    for t in d.counts.scores + (d.counts.scores[-1] + 1,):
         pt = RocPoint(fpr_at(d, t), tpr_at(d, t))
         if not swept or swept[-1] != pt:
             swept.append(pt)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactroc import auc_trapezoid, dataset_from_classes, roc_curve
+from exactroc import Dataset, auc_trapezoid, roc_curve
 from exactroc.pairwise import pair_probability_bruteforce
 from exactroc.roc import fpr_at, tpr_at
 from exactroc.stieltjes import (
@@ -22,12 +22,12 @@ C = Fraction(7, 20)
 
 @pytest.fixture
 def counterexample():
-    return dataset_from_classes([C], [C])
+    return Dataset([C], [C])
 
 
 @pytest.fixture
 def mixed():
-    return dataset_from_classes(["0.5", "0.9"], ["0.5", "0.1"])
+    return Dataset(["0.5", "0.9"], ["0.5", "0.1"])
 
 
 def test_positive_rate_function_table(mixed):
@@ -160,7 +160,7 @@ def test_rate_functions_agree_with_rate_counts(seed):
     d = random_dataset(random.Random(seed), max_size=30)
     t = rate_step_function(d, "positive")
     f = rate_step_function(d, "negative")
-    probes = list(d.distinct_scores)
+    probes = list(d.counts.scores)
     probes += [a + Fraction(1, 999) for a in probes] + [probes[0] - 1, probes[-1] + 1]
     for x in probes:
         assert t(x) == tpr_at(d, x)
