@@ -296,17 +296,18 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     merged = pair_probability_sorted(d)
     rows = _identities(e)
     rows.insert(2, _equal("fast pair count = sorted-merge pair count", e.pair_probability, merged))
-    image = {s.as_integer_ratio(): (7 * s - 3) / 5 for s in d.counts.scores}  # one per value
-    shift = Dataset(
+    # one image per value; scaled, not shifted, so 1e-20000 keeps a short numerator
+    image = {s.as_integer_ratio(): 7 * s / 5 for s in d.counts.scores}
+    scaled = Dataset(
         *([image[s.as_integer_ratio()] for s in c] for c in (d.positives, d.negatives))
     )
     rows.append(
         (
             "invariance under increasing affine score map",
-            auc_trapezoid(roc_curve(shift)) == e.auc
-            and pair_probability_fast(shift) == e.pair_probability
-            and tie_report(shift).correction == e.tie.correction,
-            "map x -> (7x - 3)/5",
+            auc_trapezoid(roc_curve(scaled)) == e.auc
+            and pair_probability_fast(scaled) == e.pair_probability
+            and tie_report(scaled).correction == e.tie.correction,
+            "map x -> 7x/5",
         )
     )
     return rows

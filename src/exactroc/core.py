@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, sub
 from typing import Callable, Iterable, NamedTuple
 
 # Exact reduced fraction with positive denominator; equality is decidable.
@@ -68,11 +69,17 @@ def score(value: Score | int | str) -> Score:
 
 
 class CountTable(NamedTuple):
-    """Distinct scores ascending; pos[k] positives and neg[k] negatives attain scores[k]."""
+    """Distinct scores ascending; pos[k] positives and neg[k] negatives attain scores[k].
+
+    pos_ge[k] positives and neg_ge[k] negatives score >= scores[k]; these two columns
+    are one entry longer, ending in 0 past the maximum: the ROC curve's counts.
+    """
 
     scores: tuple[Score, ...]
     pos: tuple[int, ...]
     neg: tuple[int, ...]
+    pos_ge: tuple[int, ...]
+    neg_ge: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -124,7 +131,11 @@ class Dataset:
             for i, c in Counter(map(id, column)).items():
                 s = objects[i]
                 merged.setdefault(s.as_integer_ratio(), [s, 0, 0])[k] += c
-        return CountTable(*zip(*sorted_exact(merged.values(), key=itemgetter(0))))
+        scores, pos, neg = zip(*sorted_exact(merged.values(), key=itemgetter(0)))
+        del merged, objects  # freed first, so the running counts reuse their memory
+        pos_ge = tuple(accumulate(pos, sub, initial=self.n_pos))
+        neg_ge = tuple(accumulate(neg, sub, initial=self.n_neg))
+        return CountTable(scores, pos, neg, pos_ge, neg_ge)
 
 
 def sorted_exact(items: Iterable, key: Callable | None = None) -> list:

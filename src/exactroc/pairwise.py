@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .core import Dataset, Rational, Score, sorted_exact
@@ -82,17 +83,12 @@ def pair_probability_sorted(d: Dataset) -> Rational:
 
 
 def pair_probability_fast(d: Dataset) -> Rational:
-    """Same value as the brute-force count, from one sweep down the count table.
+    """Same value as the brute-force count, from one pass over the count table.
 
-    The negatives at each score lose to every positive strictly above it; ties
-    add zero. O(n) plus O(d log d) for d distinct scores (the table), then O(d).
+    The negatives at each score lose to the positives at or above the next
+    score; ties add zero. O(n) plus O(d log d) for d distinct scores (the table).
     """
-    t = d.counts
-    wins = pos_above = 0
-    for p, n in zip(reversed(t.pos), reversed(t.neg)):
-        wins += n * pos_above
-        pos_above += p
-    return Fraction(wins, d.n_pos * d.n_neg)
+    return Fraction(sum(map(mul, d.counts.neg, d.counts.pos_ge[1:])), d.n_pos * d.n_neg)
 
 
 def hypothesis_holds(d: Dataset) -> bool:

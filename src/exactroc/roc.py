@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
 from typing import Iterator, NamedTuple
 
 from .core import Dataset, Rational, Score
@@ -57,16 +55,12 @@ def fpr_at(d: Dataset, tau: Score) -> Rational:
 
 
 def roc_curve(d: Dataset) -> RocCurve:
-    """Sweep thresholds over the distinct scores plus a sentinel.
+    """Sweep thresholds over the distinct scores plus a sentinel: (1,1) down to (0,0).
 
-    Evaluating at the minimum score gives (1,1); the sentinel gives (0,0).
-    Counts at or above each threshold are running differences down the count
-    table; every distinct score is attained, so consecutive points differ.
+    The counts are the count table's at-or-above columns; every distinct score
+    is attained, so consecutive points differ.
     """
-    t = d.counts
-    neg_ge = tuple(accumulate(t.neg, sub, initial=d.n_neg))
-    pos_ge = tuple(accumulate(t.pos, sub, initial=d.n_pos))
-    return RocCurve(neg_ge, pos_ge)
+    return RocCurve(d.counts.neg_ge, d.counts.pos_ge)
 
 
 def auc_trapezoid(c: RocCurve) -> Rational:

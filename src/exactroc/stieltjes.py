@@ -16,8 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import sub
+from itertools import compress
 from typing import Literal
 
 from .core import Dataset, Rational, Score
@@ -87,12 +86,10 @@ def rate_step_function(d: Dataset, side: Literal["positive", "negative"]) -> Ste
     with tpr_at / fpr_at.
     """
     t = d.counts
-    counts = t.pos if side == "positive" else t.neg
-    total = sum(counts)
-    remaining = accumulate((c for c in counts if c), sub, initial=total)
+    counts, ge = (t.pos, t.pos_ge) if side == "positive" else (t.neg, t.neg_ge)
     return StepFunction(
         breakpoints=tuple(compress(t.scores, counts)),
-        values=tuple(Fraction(r, total) for r in remaining),
+        values=tuple(Fraction(r, ge[0]) for r in (ge[0], *compress(ge[1:], counts))),
     )
 
 

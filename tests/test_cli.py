@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -660,7 +661,7 @@ CHECK_OK = {
         "ok    0 <= correction <= bound <= 1/2 (correction 1/8, bound 1/4)",
         "ok    no cross-class tie iff area = pair probability "
         "(hypothesis False, shared 1, auc 7/8, pair 3/4)",
-        "ok    invariance under increasing affine score map (map x -> (7x - 3)/5)",
+        "ok    invariance under increasing affine score map (map x -> 7x/5)",
     ],
     COUNTEREXAMPLE_CSV: [
         "ok    trapezoid area = balanced Stieltjes integral (1/2 vs 1/2)",
@@ -670,7 +671,7 @@ CHECK_OK = {
         "ok    0 <= correction <= bound <= 1/2 (correction 1/2, bound 1/2)",
         "ok    no cross-class tie iff area = pair probability "
         "(hypothesis False, shared 1, auc 1/2, pair 0/1)",
-        "ok    invariance under increasing affine score map (map x -> (7x - 3)/5)",
+        "ok    invariance under increasing affine score map (map x -> 7x/5)",
     ],
 }
 
@@ -726,6 +727,32 @@ def test_main_check_prints_fail_rows_instead_of_raising(
     captured = capsys.readouterr()
     assert captured.out == "\n".join(lines) + "\n"
     assert captured.err == f"{failures} identity check(s) failed\n"
+
+
+def test_main_check_catches_a_corrupt_at_or_above_column(tmp_path, capsys, monkeypatch):
+    # One wrong running count that still makes a valid curve. The curve, the fast pair
+    # count and the tie correction all read the same table, so the rows comparing them
+    # with each other can pass; the sorted merge reads the raw columns and must fail.
+    table = Dataset.counts.func
+
+    def corrupt(d):
+        t = table(d)
+        assert t.pos_ge == (2, 2, 1, 0)
+        return t._replace(pos_ge=(2, 1, 1, 0))
+
+    monkeypatch.setattr(Dataset, "counts", property(corrupt))
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    assert main(["check", "--input", path]) == 3
+    changed = {
+        0: "FAIL  trapezoid area = balanced Stieltjes integral (5/8 vs 7/8)",
+        1: "FAIL  strict pair probability = right-limit Stieltjes integral (1/2 vs 3/4)",
+        2: "FAIL  fast pair count = sorted-merge pair count (1/2 vs 3/4)",
+        5: "ok    no cross-class tie iff area = pair probability "
+        "(hypothesis False, shared 1, auc 5/8, pair 1/2)",
+    }
+    lines = [changed.get(i, line) for i, line in enumerate(CHECK_OK[MIXED_CSV])]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert lines[3] == "ok    area - pair probability = tie correction (1/8 vs 1/8)"
 
 
 def test_main_check_never_runs_the_quadratic_pair_count(tmp_path, capsys, monkeypatch):
@@ -788,27 +815,100 @@ def test_main_report_prints_a_score_past_the_int_str_digit_limit(tmp_path, capsy
         assert f"shared_score      {exact} " in out
 
 
+def _near_cap_rows():
+    """1,000 rows of `<k>e-19998`, `<k>e-19999` or `<k>e-20000` scores, k up to 1e6."""
+    rng = random.Random(13)
+    exponents = (19998, 19999, 20000)
+    return "".join(
+        f"{rng.randint(1, 10**6)}e-{rng.choice(exponents)},{rng.randint(0, 1)}\n"
+        for _ in range(1000)
+    )
+
+
+def _primes_above(low, count):
+    """The first `count` primes above `low`, by a sieve of Eratosthenes."""
+    top = low + 40 * count  # near 1e6 primes are about 14 apart
+    sieve = bytearray([1]) * top
+    for i in range(2, math.isqrt(top) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, top, i)))
+    primes = [n for n in range(low + 1, top) if sieve[n]]
+    assert len(primes) >= count
+    return primes[:count]
+
+
+def _prime_denominator_rows():
+    rng = random.Random(13)
+    return "".join(
+        f"{rng.randint(1, b - 1)}/{b},{i % 2}\n" for i, b in enumerate(_primes_above(10**6, 2000))
+    )
+
+
+SPELLINGS_OF_ONE_HALF = ("0.5", "1/2", "5e-1", ".50", "+0.500")
+DIGITS_4300 = "7" * 4300
+CAP_NUMERATORS = [k for k in range(1, 125) if k % 2 and k % 5]  # 50, each k/10**20000 reduced
+
+# Each case: the file's text, the exit code both commands must give, and the report's shared
+# scores or the error line. `int()` reads at most 4300 digits.
+INPUT_CORPUS = {
+    "spellings-of-one-value": (
+        "".join(f"{s},{c}\n" for s in SPELLINGS_OF_ONE_HALF for c in (1, 0)),
+        0,
+        ["1/2"],
+    ),
+    "field-past-the-csv-limit": (
+        "0" * (csv.field_size_limit() + 1) + ",1\n0,0\n",
+        1,
+        f"error: line 1: field larger than field limit ({csv.field_size_limit()})\n",
+    ),
+    "4300-digit-score": (f"{DIGITS_4300},1\n{DIGITS_4300},0\n0,0\n", 0, [f"{DIGITS_4300}/1"]),
+    "4301-digit-score": (
+        f"{DIGITS_4300}7,1\n0,0\n",
+        1,
+        f"error: line 1: cannot read score '{DIGITS_4300}7'\n",
+    ),
+    "2000-prime-denominators": (_prime_denominator_rows(), 0, []),
+    "1000-unshared-scores-near-the-exponent-cap": (_near_cap_rows(), 0, []),
+    "50-shared-scores-at-the-exponent-cap": (
+        "".join(f"{k}e-20000,{c}\n" for k in CAP_NUMERATORS for c in (1, 0)),
+        0,
+        [f"{k}/1{'0' * 20000}" for k in CAP_NUMERATORS],
+    ),
+    "exponent-past-the-cap": (
+        "1e-99999999999,1\n0,0\n",
+        1,
+        "error: line 1: cannot read score '1e-99999999999'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_CORPUS))
 @pytest.mark.parametrize("command", ["report", "check"])
-def test_main_rejects_a_score_exponent_past_the_cap(tmp_path, command):
-    # Reading this score exactly would build 10**99999999999. The child runs under an
-    # address-space limit and a timeout, so a missing cap fails the test by timing out.
-    path = _write(tmp_path, "d.csv", "1e-99999999999,1\n0,0\n")
-    code = (
+def test_main_input_corpus_exits_within_budget(tmp_path, command, case):
+    # Each run is a child under an address-space limit and a 10 s timeout, so an input
+    # that makes the tool hang or grow without bound fails the test instead of the host.
+    text, code, expected = INPUT_CORPUS[case]
+    path = _write(tmp_path, "d.csv", text)
+    script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from exactroc.cli import main\n"
         f"sys.exit(main([{command!r}, '--input', {path!r}]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=_subprocess_env(),
         timeout=10,
     )
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr == "error: line 1: cannot read score '1e-99999999999'\n"
-    assert proc.stdout == ""
+    assert proc.returncode == code, proc.stderr[:500]
+    if code:
+        assert (proc.stdout, proc.stderr) == ("", expected)
+    elif command == "check":
+        assert proc.stdout.count("ok  ") == 7 and "FAIL" not in proc.stdout
+    else:
+        assert [s["score"] for s in json.loads(proc.stdout)["shared_scores"]] == expected
 
 
 def test_main_contlab_prints_certificate(capsys):
