@@ -1,7 +1,8 @@
 """Batch front end: CSV/TSV in, exact report (JSON or text) and SVG out.
 
 Exit codes: 0 success, 1 parse error, 2 degenerate classes (only one label
-present), 3 internal error: a failed identity or validator. Code 3 can only
+present), 3 internal error: a failed identity or validator, 141 stdout closed by
+its reader (the status a shell gives a filter ended by SIGPIPE). Code 3 can only
 mean an implementation bug, never a data problem: `report` and `check` share
 one evaluation and one list of exact identities (trapezoid area = balanced
 Stieltjes integral, strict pair probability = right-limit integral, area -
@@ -15,10 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal
 
@@ -173,11 +176,14 @@ def run_report(d: Dataset) -> RocReport:
     return RocReport(**vars(_evaluate(d)))
 
 
-def _frac(q: Rational) -> str:
+def _frac(num: int | Rational, den: int = 1) -> str:
+    """num / den in lowest terms, as text; num is a count or an exact value, den > 0."""
+    g = gcd(num.numerator, den)  # num's own terms are already coprime
+    num, den = num.numerator, num.denominator * den
     try:
-        return f"{q.numerator}/{q.denominator}"
+        return f"{num // g}/{den // g}"
     except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
-        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+        return f"{Decimal(num // g)}/{Decimal(den // g)}"
 
 
 def _dec17(q: Rational) -> str:
@@ -208,8 +214,9 @@ def _report_pieces(r: RocReport, mode: Literal["json", "text"]) -> Iterator[str]
         "tie_correction": r.tie.correction,
         "tie_bound": r.tie.bound,
     }
-    shared = ((_frac(s.score), _frac(s.pos_mass), _frac(s.neg_mass)) for s in r.tie.shared_scores)
-    curve = ((_frac(p.fpr), _frac(p.tpr)) for p in r.curve)
+    shared = ((_frac(s), _frac(p, r.n_pos), _frac(n, r.n_neg)) for s, p, n in r.tie.shared_scores)
+    f, t = r.curve.neg_ge, r.curve.pos_ge  # each vertex's two counts over the class sizes
+    curve = ((_frac(a, f[0]), _frac(b, t[0])) for a, b in zip(f, t))
     holds = str(r.hypothesis_holds).lower()
     if mode == "json":
         yield f'{{\n  "n_pos": {r.n_pos},\n  "n_neg": {r.n_neg},\n  "hypothesis_holds": {holds},\n'
@@ -248,13 +255,13 @@ def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
     margin = max(10, w // 8)
     span = w - 2 * margin
 
-    def fx(v: Rational | float) -> float:
-        return margin + float(v) * span
+    def fx(v: float) -> float:
+        return margin + v * span
 
-    def fy(v: Rational | float) -> float:
-        return w - margin - float(v) * span
+    def fy(v: float) -> float:
+        return w - margin - v * span
 
-    ticks = [(Fraction(0), "0"), (Fraction(1, 2), "0.5"), (Fraction(1), "1")]
+    ticks = [(0.0, "0"), (0.5, "0.5"), (1.0, "1")]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w}" height="{w}" viewBox="0 0 {w} {w}">',
@@ -282,7 +289,8 @@ def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
         f'<line x1="{fx(0):.2f}" y1="{fy(0):.2f}" x2="{fx(1):.2f}" y2="{fy(1):.2f}" '
         f'stroke="gray" stroke-dasharray="4 3"/>'
     )
-    coords = " ".join(f"{fx(p.fpr):.2f},{fy(p.tpr):.2f}" for p in c)
+    f, t = c.neg_ge, c.pos_ge  # a / n of two ints is the exact rate, rounded once to a float
+    coords = " ".join(f"{fx(a / f[0]):.2f},{fy(b / t[0]):.2f}" for a, b in zip(f, t))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="crimson" stroke-width="2"/>'
     )
@@ -301,15 +309,9 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     scaled = Dataset(
         *([image[s.as_integer_ratio()] for s in c] for c in (d.positives, d.negatives))
     )
-    rows.append(
-        (
-            "invariance under increasing affine score map",
-            auc_trapezoid(roc_curve(scaled)) == e.auc
-            and pair_probability_fast(scaled) == e.pair_probability
-            and tie_report(scaled).correction == e.tie.correction,
-            "map x -> 7x/5",
-        )
-    )
+    # every stage reads only the count columns, so equal columns give equal values
+    same = scaled.counts == d.counts._replace(scores=tuple(image.values()))
+    rows.append(("invariance under increasing affine score map", same, "map x -> 7x/5"))
     return rows
 
 
@@ -411,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     handler: Callable[[argparse.Namespace], int] = args.func
     try:
         return handler(args)
+    except BrokenPipeError:  # the reader stopped early: not an input error, and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the final flush
+        return 141
     except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ every quantity is a function of the two samples, never of how they interleave.
 
 from __future__ import annotations
 
+import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -40,21 +41,26 @@ class DegenerateClassesError(ValueError):
 def score(value: Score | int | str) -> Score:
     """Convert decimal text (or an exact number) to an exact score.
 
-    Accepts Fraction, int, or strings such as "0.35", "-2", "1e-3", "7/20".
-    Floats are rejected: a float has already been rounded to binary and can
-    silently create or destroy ties. Text with an exponent beyond MAX_EXPONENT
-    in magnitude is rejected with ValueError before any arithmetic.
+    Accepts Fraction, int, or strings such as "0.35", "-2", "1e-3", "7/20"; any
+    other value (a Decimal, a numpy integer) is read through its text. Binary
+    floating point is rejected with TypeError: a float, or any real number type
+    that is not rational (numpy.float32), has already been rounded to binary and
+    can silently create or destroy ties. Text with an exponent beyond
+    MAX_EXPONENT in magnitude is rejected with ValueError before any arithmetic.
     """
-    if isinstance(value, float):
-        raise TypeError(
-            "float scores are not accepted; pass the decimal text instead "
-            f"(e.g. {value!r:.17} as a string)"
-        )
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    text = str(value)
+    if isinstance(value, str):
+        text = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, numbers.Rational):
+        raise TypeError(
+            f"{type(value).__name__} scores are not accepted; pass the decimal text instead "
+            f"(e.g. {value!s:.17} as a string)"
+        )
+    else:
+        text = str(value)
     if "_" in text and not re.search(r"(?<!\d)_|_(?!\d)", text):
         text = text.replace("_", "")  # digit separators, which Fraction reads only from 3.11 on
     _, e, exponent = text.replace("E", "e").rpartition("e")
@@ -89,7 +95,9 @@ class Dataset:
     The constructor takes each column as any iterable of Fractions, ints or score
     text, and `__post_init__` stores it as the tuple of exact scores the fields are
     typed as: every element goes through `score()`, which keeps a Fraction as the
-    same object, reads ints and text exactly and raises TypeError on a float.
+    same object, reads ints and text exactly and raises TypeError on binary floating
+    point. A column that is itself text (str or bytes) raises TypeError: iterating it
+    would read each character as a score.
     Duplicate scores are allowed and counted with multiplicity (the underlying
     measure is counting measure). Both classes must be non-empty.
     """
@@ -99,7 +107,11 @@ class Dataset:
 
     def __post_init__(self) -> None:
         for name in ("positives", "negatives"):  # tuples hash, and no caller can grow them
-            object.__setattr__(self, name, tuple(map(score, getattr(self, name))))
+            column = getattr(self, name)
+            if isinstance(column, (str, bytes)):
+                kind = type(column).__name__
+                raise TypeError(f"{name} must be an iterable of scores, not {kind}")
+            object.__setattr__(self, name, tuple(map(score, column)))
         if not self.positives and not self.negatives:
             raise DegenerateClassesError("dataset is empty")
         if not self.positives:

@@ -4,7 +4,7 @@ The pair probability is the chance that a uniformly random positive outranks
 (strictly) a uniformly random negative. Ties are never half-counted here: the
 gap between the trapezoidal area and this probability is exactly the half-sum
 of cross-class tie mass products, and both that correction and its bound are
-reported as first-class values.
+reported as first-class values. A shared score keeps its two integer counts.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ from .core import Dataset, Rational, Score, sorted_exact
 
 class SharedScore(NamedTuple):
     score: Score
-    pos_mass: Rational  # conditional point mass of the score among positives
-    neg_mass: Rational  # ... among negatives
+    pos: int  # positives at the score; its mass among positives is pos / n_pos
+    neg: int  # negatives at the score; ... neg / n_neg
 
 
 @dataclass(frozen=True)
 class TieReport:
     """Cross-class tie inventory with the exact area/probability gap.
 
-    correction = (1/2) * sum over shared scores of pos_mass * neg_mass
+    correction = (1/2) * sum over shared scores of (pos / n_pos) * (neg / n_neg)
     bound      = (1/4) * (b_given_p + b_given_n)
 
     where b_given_p / b_given_n are the conditional masses of the tied-score
@@ -97,16 +97,13 @@ def hypothesis_holds(d: Dataset) -> bool:
 
 
 def tie_report(d: Dataset) -> TieReport:
-    t = d.counts
-    shared = [(s, p, n) for s, p, n in zip(t.scores, t.pos, t.neg) if p and n]
-    b_given_p = Fraction(sum(p for _, p, _ in shared), d.n_pos)
-    b_given_n = Fraction(sum(n for _, _, n in shared), d.n_neg)
+    t, n_pos, n_neg = d.counts, d.n_pos, d.n_neg
+    shared = tuple(SharedScore(s, p, n) for s, p, n in zip(t.scores, t.pos, t.neg) if p and n)
+    tied_pos, tied_neg = sum(s.pos for s in shared), sum(s.neg for s in shared)
     return TieReport(
-        shared_scores=tuple(
-            SharedScore(s, Fraction(p, d.n_pos), Fraction(n, d.n_neg)) for s, p, n in shared
-        ),
-        correction=Fraction(sum(p * n for _, p, n in shared), 2 * d.n_pos * d.n_neg),
-        bound=(b_given_p + b_given_n) / 4,
-        b_given_p=b_given_p,
-        b_given_n=b_given_n,
+        shared_scores=shared,
+        correction=Fraction(sum(s.pos * s.neg for s in shared), 2 * n_pos * n_neg),
+        bound=Fraction(tied_pos * n_neg + tied_neg * n_pos, 4 * n_pos * n_neg),
+        b_given_p=Fraction(tied_pos, n_pos),
+        b_given_n=Fraction(tied_neg, n_neg),
     )

@@ -2,22 +2,17 @@
 
 A threshold tau accepts every observation with score >= tau. The true and
 false positive rates are therefore non-increasing, left-continuous step
-functions of tau, and the ROC sweep visits only finitely many points: one per
-distinct observed score, plus (0, 0) from a sentinel above the maximum.
+functions of tau. The ROC sweep has one vertex per distinct observed score, plus
+(0, 0) from a sentinel above the maximum; `RocCurve` keeps each vertex as its two
+integer counts, and `points` is the one view of them as exact rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
 
 from .core import Dataset, Rational, Score
-
-
-class RocPoint(NamedTuple):
-    fpr: Rational
-    tpr: Rational
 
 
 @dataclass(frozen=True)
@@ -37,11 +32,11 @@ class RocCurve:
             if f1 > f0 or t1 > t0:
                 raise ValueError("counts must be non-increasing along the sweep")
 
-    def __iter__(self) -> Iterator[RocPoint]:  # the points as exact rates, one at a time
+    @property
+    def points(self) -> tuple[tuple[Rational, Rational], ...]:
+        """The vertices as exact (fpr, tpr) rates, built afresh on each read."""
         f, t = self.neg_ge, self.pos_ge
-        return (RocPoint(Fraction(a, f[0]), Fraction(b, t[0])) for a, b in zip(f, t))
-
-    points = property(tuple)  # all of them at once, built afresh on each read
+        return tuple((Fraction(a, f[0]), Fraction(b, t[0])) for a, b in zip(f, t))
 
 
 def tpr_at(d: Dataset, tau: Score) -> Rational:

@@ -34,6 +34,7 @@ from exactroc.core import Dataset
 from datagen import random_dataset
 
 COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
+DATA = Path(__file__).parent / "data"
 MIXED_CSV = "0.5,1\n0.9,1\n0.5,0\n0.1,0\n"
 
 
@@ -447,6 +448,30 @@ def test_svg_counterexample_is_the_diagonal_segment():
     assert len(pts) == 2
 
 
+def test_writers_build_no_fraction():
+    # 1,500 distinct scores, some shared: every value printed is a ratio of integer counts
+    r = run_report(parse_input("".join(f"{i // 2}/997,{int(i % 3 == 0)}\n" for i in range(3000))))
+    assert len(r.curve.neg_ge) > 1000 and r.tie.shared_scores
+    constructors = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # from Python 3.12, arithmetic builds here
+        constructors.add(Fraction._from_coprime_ints.__func__.__code__)
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in constructors:
+            built.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        emit_report(r, "json")
+        emit_report(r, "text")
+        emit_curve_svg(r.curve)
+    finally:
+        sys.setprofile(previous)
+    assert built == []
+
+
 def test_svg_rejects_tiny_width():
     curve = roc_curve(parse_input(COUNTEREXAMPLE_CSV))
     with pytest.raises(ValueError):
@@ -573,6 +598,25 @@ def test_main_report_never_holds_the_whole_curve_as_fractions(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < 26 * path.stat().st_size
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_main_report_into_a_closed_pipe_exits_141_quietly(tmp_path, output):
+    # 5,000 distinct scores make a report of 120 KiB or more, past a pipe's 64 KiB buffer,
+    # so the writer still has bytes to write when the reader goes
+    path = _write(tmp_path, "d.csv", "".join(f"{i}/7919,{i % 2}\n" for i in range(5000)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "exactroc", "report", "--input", path, "--output", output],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_subprocess_env(),
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
@@ -755,6 +799,25 @@ def test_main_check_catches_a_corrupt_at_or_above_column(tmp_path, capsys, monke
     assert lines[3] == "ok    area - pair probability = tie correction (1/8 vs 1/8)"
 
 
+def test_main_check_catches_a_count_table_that_an_increasing_map_changes(
+    tmp_path, capsys, monkeypatch
+):
+    # The images of MIXED_CSV's scores under x -> 7x/5 are 7/50, 7/10 and 63/50. A table
+    # that counts them in another order than their preimages fails only the affine row.
+    table = Dataset.counts.func
+
+    def reordered_for_images(d):
+        t = table(d)
+        return t._replace(pos=t.pos[::-1]) if Fraction(7, 10) in t.scores else t
+
+    monkeypatch.setattr(Dataset, "counts", property(reordered_for_images))
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    assert main(["check", "--input", path]) == 3
+    lines = CHECK_OK[MIXED_CSV][:-1]
+    lines.append("FAIL  invariance under increasing affine score map (map x -> 7x/5)")
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_main_check_never_runs_the_quadratic_pair_count(tmp_path, capsys, monkeypatch):
     import exactroc.cli as cli_module
     import exactroc.pairwise as pairwise_module
@@ -793,6 +856,13 @@ def test_main_curve_writes_svg(tmp_path):
     assert main(["curve", "--input", path, "--svg", str(out), "--width", "320"]) == 0
     root = ET.fromstring(out.read_text(encoding="utf-8"))
     assert root.get("width") == "320"
+
+
+def test_main_curve_writes_the_golden_svg(tmp_path):
+    # 3 positives and 7 negatives, so the rates are thirds and sevenths, never dyadic
+    out = tmp_path / "curve.svg"
+    assert main(["curve", "--input", str(DATA / "nondyadic.csv"), "--svg", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "nondyadic_curve.svg").read_bytes()
 
 
 def test_main_curve_rejects_a_narrow_width(tmp_path, capsys):

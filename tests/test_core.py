@@ -1,4 +1,6 @@
+import numbers
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,33 @@ def test_score_parses_decimal_text_exactly():
 def test_score_rejects_floats():
     with pytest.raises(TypeError):
         score(0.35)
+
+
+class BinaryReal:
+    """Stands in for a binary floating-point type such as numpy.float32: a real number
+    whose text ("0.1") is not its value."""
+
+    def __str__(self):
+        return "0.1"
+
+
+numbers.Real.register(BinaryReal)
+
+
+def test_score_rejects_every_binary_floating_point_type():
+    with pytest.raises(TypeError, match=r"^BinaryReal scores are not accepted; .*\(e\.g\. 0\.1 as"):
+        score(BinaryReal())
+    with pytest.raises(TypeError, match="^BinaryReal scores"):
+        Dataset([BinaryReal()], ["0.5"])
+    # a Decimal is exact, so it is read through its text
+    assert score(Decimal("0.1")) == Fraction(1, 10)
+
+
+def test_score_rejects_numpy_floats_and_reads_numpy_integers():
+    numpy = pytest.importorskip("numpy")
+    with pytest.raises(TypeError, match="^float32 scores are not accepted"):
+        score(numpy.float32(0.1))  # its value is 13421773/134217728, not 1/10
+    assert score(numpy.int64(-3)) == Fraction(-3)
 
 
 @pytest.mark.parametrize("sign", ["", "+", "-"])
@@ -64,6 +93,16 @@ def test_dataset_checks_both_classes_itself(observations, message):
     for columns in ((positives, negatives), (iter(positives), iter(negatives))):
         with pytest.raises(DegenerateClassesError, match=f"^{message}$"):
             Dataset(*columns)
+
+
+@pytest.mark.parametrize("text", ["12", b"12"], ids=["str", "bytes"])
+def test_dataset_rejects_a_column_that_is_text(text):
+    # iterated, "12" would be the scores 1 and 2, and b"12" the scores 49 and 50
+    kind = type(text).__name__
+    with pytest.raises(TypeError, match=f"^positives must be an iterable of scores, not {kind}$"):
+        Dataset(text, ["3"])
+    with pytest.raises(TypeError, match=f"^negatives must be an iterable of scores, not {kind}$"):
+        Dataset(["1", "2"], text)
 
 
 def test_dataset_keeps_its_own_tuple_of_each_column():

@@ -54,7 +54,7 @@ def test_fast_matches_on_examples(counterexample, mixed):
 
 def test_tie_report_counterexample(counterexample):
     r = tie_report(counterexample)
-    assert r.shared_scores == (SharedScore(C, Fraction(1), Fraction(1)),)
+    assert r.shared_scores == (SharedScore(C, 1, 1),)
     assert r.correction == Fraction(1, 2)
     assert r.bound == Fraction(1, 2)
     # every observation carries the shared score
@@ -73,7 +73,7 @@ def test_tie_report_disjoint_is_trivial():
 
 def test_tie_report_mixed(mixed):
     r = tie_report(mixed)
-    assert r.shared_scores == (SharedScore(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),)
+    assert r.shared_scores == (SharedScore(Fraction(1, 2), 1, 1),)
     assert r.correction == Fraction(1, 8)
     assert r.bound == Fraction(1, 4)
 

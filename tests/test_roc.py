@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactroc import Dataset, auc_trapezoid, roc_curve
-from exactroc.roc import RocCurve, RocPoint, fpr_at, tpr_at
+from exactroc.roc import RocCurve, fpr_at, tpr_at
 from datagen import random_dataset
 
 C = Fraction(7, 20)
@@ -51,15 +51,15 @@ def test_fpr_at_direct_count(mixed):
 
 def test_curve_counterexample(counterexample):
     c = roc_curve(counterexample)
-    assert c.points == (RocPoint(Fraction(1), Fraction(1)), RocPoint(Fraction(0), Fraction(0)))
+    assert c.points == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
 
 
 def test_curve_perfectly_separated():
     c = roc_curve(Dataset(["0.9"], ["0.1"]))
     assert c.points == (
-        RocPoint(Fraction(1), Fraction(1)),
-        RocPoint(Fraction(0), Fraction(1)),
-        RocPoint(Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(0), Fraction(1)),
+        (Fraction(0), Fraction(0)),
     )
 
 
@@ -67,10 +67,10 @@ def test_curve_mixed(mixed):
     # thresholds 0.1, 0.5, 0.9, sentinel; rates counted by hand
     c = roc_curve(mixed)
     assert c.points == (
-        RocPoint(Fraction(1), Fraction(1)),
-        RocPoint(Fraction(1, 2), Fraction(1)),
-        RocPoint(Fraction(0), Fraction(1, 2)),
-        RocPoint(Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(1, 2), Fraction(1)),
+        (Fraction(0), Fraction(1, 2)),
+        (Fraction(0), Fraction(0)),
     )
 
 
@@ -91,10 +91,10 @@ def test_auc_of_a_curve_with_unrelated_denominators():
     # points (1,1), (2/3,1/2), (1/5,1/7), (0,0) as counts over 15 negatives and 14 positives
     c = RocCurve(neg_ge=(15, 10, 3, 0), pos_ge=(14, 7, 2, 0))
     assert c.points == (
-        RocPoint(Fraction(1), Fraction(1)),
-        RocPoint(Fraction(2, 3), Fraction(1, 2)),
-        RocPoint(Fraction(1, 5), Fraction(1, 7)),
-        RocPoint(Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(2, 3), Fraction(1, 2)),
+        (Fraction(1, 5), Fraction(1, 7)),
+        (Fraction(0), Fraction(0)),
     )
     # twice the area: (3/2)(1/3) + (9/14)(7/15) + (1/7)(1/5) = 1/2 + 3/10 + 1/35
     assert auc_trapezoid(c) == Fraction(29, 70)
@@ -177,7 +177,7 @@ def test_curve_points_are_the_rate_pairs_at_thresholds(seed):
     swept = []
     # the distinct scores ascending, then a sentinel strictly above the maximum
     for t in d.counts.scores + (d.counts.scores[-1] + 1,):
-        pt = RocPoint(fpr_at(d, t), tpr_at(d, t))
+        pt = (fpr_at(d, t), tpr_at(d, t))
         if not swept or swept[-1] != pt:
             swept.append(pt)
     assert tuple(swept) == c.points
