@@ -1,8 +1,8 @@
 """Batch front end: CSV/TSV in, exact report (JSON or text) and SVG out.
 
-Exit codes: 0 success, 1 parse error, 2 degenerate classes (only one label
-present), 3 internal error: a failed identity or validator, 141 stdout closed by
-its reader (the status a shell gives a filter ended by SIGPIPE). Code 3 can only
+Exit codes: 0 success, 1 parse or usage error, 2 degenerate classes (only one
+label present), 3 internal error: a failed identity or validator, 141 stdout closed
+by its reader (the status a shell gives a filter ended by SIGPIPE). Code 3 can only
 mean an implementation bug, never a data problem: `report` and `check` share
 one evaluation and one list of exact identities (trapezoid area = balanced
 Stieltjes integral, strict pair probability = right-limit integral, area -
@@ -23,7 +23,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal, NoReturn
 
 from .contlab import LaplaceTieModel, area_consistency_check, jump_certificate
 from .core import Dataset, DegenerateClassesError, Rational, score
@@ -369,13 +369,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as do its subparsers: 2 means a one-class file."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="CSV/TSV of score,label records; - is stdin")
     p.add_argument("--format", choices=["csv", "tsv"], default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exactroc",
         description="Exact ROC/AUC and ranking-probability reports with tie accounting.",
     )

@@ -32,8 +32,8 @@ class TieReport:
 
     where b_given_p / b_given_n are the conditional masses of the tied-score
     pre-image within each class. The chain 0 <= correction <= bound <= 1/2 is
-    an arithmetic consequence (ab <= (a^2+b^2)/2 <= (a+b)/2 termwise) and is
-    re-checked at construction.
+    an arithmetic consequence (ab <= (a^2+b^2)/2 <= (a+b)/2 termwise), and
+    every report checks it as one of its identity rows.
     """
 
     shared_scores: tuple[SharedScore, ...]
@@ -41,13 +41,6 @@ class TieReport:
     bound: Rational
     b_given_p: Rational
     b_given_n: Rational
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.correction <= self.bound <= Fraction(1, 2):
-            raise ValueError(
-                f"tie inequality chain violated: correction={self.correction} "
-                f"bound={self.bound}"
-            )
 
 
 def pair_probability_bruteforce(d: Dataset) -> Rational:

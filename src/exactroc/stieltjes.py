@@ -22,6 +22,8 @@ from typing import Literal
 from .core import Dataset, Rational, Score
 
 LimitVariant = Literal["left", "right", "balanced"]
+# each variant's terms use the integrand's (left limit, right limit)
+_USES = {"left": (True, False), "right": (False, True), "balanced": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ def rate_step_function(d: Dataset, side: Literal["positive", "negative"]) -> Ste
     is 1 left of all of them and 0 right of all of them, and agrees pointwise
     with tpr_at / fpr_at.
     """
+    if side not in ("positive", "negative"):
+        raise ValueError(f"side must be 'positive' or 'negative', not {side!r}")
     t = d.counts
     counts, ge = (t.pos, t.pos_ge) if side == "positive" else (t.neg, t.neg_ge)
     return StepFunction(
@@ -113,11 +117,9 @@ def integrate(variant: LimitVariant, g: StepFunction, m: AtomicMeasure) -> Ratio
     atom, and the atom sits on a jump iff breakpoints[i] equals it. The terms
     are those of the pointwise `left_limit`, `right_limit` and `balanced`.
     """
-    use_left, use_right = {
-        "left": (True, False),
-        "right": (False, True),
-        "balanced": (True, True),
-    }[variant]
+    if variant not in _USES:
+        raise ValueError(f"variant must be 'left', 'right' or 'balanced', not {variant!r}")
+    use_left, use_right = _USES[variant]
     bps, values = g.breakpoints, g.values
     left = right = Fraction(0)
     i = 0

@@ -31,6 +31,8 @@ from exactroc import (
 from exactroc.cli import emit_curve_svg, main
 from exactroc.contlab import MAX_SAMPLES
 from exactroc.core import Dataset
+from exactroc.roc import RocCurve
+from exactroc.stieltjes import AtomicMeasure
 from datagen import random_dataset
 
 COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
@@ -315,13 +317,24 @@ def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
             "RocReport: area - pair probability = tie correction: 1/8 vs 0/1",
         ),
         (
+            "tie_report",
+            lambda real: lambda d: dataclasses.replace(real(d), bound=real(d).correction / 2),
+            "RocReport: 0 <= correction <= bound <= 1/2: correction 1/8, bound 1/16",
+        ),
+        (
             "hypothesis_holds",
             lambda real: lambda d: True,
             "RocReport: no cross-class tie iff area = pair probability: "
             "hypothesis True, shared 1, auc 7/8, pair 3/4",
         ),
     ],
-    ids=["balanced-integral", "right-integral", "tie-correction", "no-tie-condition"],
+    ids=[
+        "balanced-integral",
+        "right-integral",
+        "tie-correction",
+        "tie-chain",
+        "no-tie-condition",
+    ],
 )
 def test_identity_errors_name_the_stage_and_both_exact_sides(
     tmp_path, capsys, monkeypatch, stage, patch, message
@@ -654,16 +667,13 @@ def test_main_validator_failure_exits_3(tmp_path, capsys, monkeypatch, command):
     # a kernel validator's ValueError is an implementation bug, not malformed input
     import exactroc.cli as cli_module
 
-    real = cli_module.tie_report
-    monkeypatch.setattr(
-        cli_module, "tie_report", lambda d: dataclasses.replace(real(d), correction=Fraction(1, 2))
-    )
+    monkeypatch.setattr(cli_module, "roc_curve", lambda d: RocCurve((2, 1), (2, 1)))
     path = _write(tmp_path, "d.csv", MIXED_CSV)
     assert main([command, "--input", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "internal error: tie inequality chain violated: correction=1/2 bound=1/4\n"
+        "internal error: count columns must be equally long, from (1,1) to (0,0)\n"
     )
 
 
@@ -748,6 +758,11 @@ def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
             },
         ),
         (
+            "tie_report",
+            lambda real: lambda d: dataclasses.replace(real(d), bound=real(d).correction / 2),
+            {4: "FAIL  0 <= correction <= bound <= 1/2 (correction 1/8, bound 1/16)"},
+        ),
+        (
             "hypothesis_holds",
             lambda real: lambda d: True,
             {
@@ -755,8 +770,77 @@ def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
                 "(hypothesis True, shared 1, auc 7/8, pair 3/4)"
             },
         ),
+        (
+            # the vertex (1/2, 1) moved down to (1/2, 1/2): still a valid curve
+            "roc_curve",
+            lambda real: lambda d: RocCurve((2, 1, 0, 0), (2, 1, 1, 0)),
+            {
+                0: "FAIL  trapezoid area = balanced Stieltjes integral (5/8 vs 7/8)",
+                3: "FAIL  area - pair probability = tie correction (-1/8 vs 1/8)",
+                5: "ok    no cross-class tie iff area = pair probability "
+                "(hypothesis False, shared 1, auc 5/8, pair 3/4)",
+            },
+        ),
+        (
+            "auc_trapezoid",
+            lambda real: lambda c: Fraction(3, 4),
+            {
+                0: "FAIL  trapezoid area = balanced Stieltjes integral (3/4 vs 7/8)",
+                3: "FAIL  area - pair probability = tie correction (0/1 vs 1/8)",
+                5: "FAIL  no cross-class tie iff area = pair probability "
+                "(hypothesis False, shared 1, auc 3/4, pair 3/4)",
+            },
+        ),
+        (
+            "pair_probability_fast",
+            lambda real: lambda d: Fraction(1, 2),
+            {
+                1: "FAIL  strict pair probability = right-limit Stieltjes integral "
+                "(1/2 vs 3/4)",
+                2: "FAIL  fast pair count = sorted-merge pair count (1/2 vs 3/4)",
+                3: "FAIL  area - pair probability = tie correction (3/8 vs 1/8)",
+                5: "ok    no cross-class tie iff area = pair probability "
+                "(hypothesis False, shared 1, auc 7/8, pair 1/2)",
+            },
+        ),
+        (
+            # the positives' rate between 1/2 and 9/10 read as 1/4, not 1/2
+            "rate_step_function",
+            lambda real: lambda d, side: (
+                dataclasses.replace(real(d, side), values=(1, Fraction(1, 4), 0))
+                if side == "positive"
+                else real(d, side)
+            ),
+            {
+                0: "FAIL  trapezoid area = balanced Stieltjes integral (7/8 vs 13/16)",
+                1: "FAIL  strict pair probability = right-limit Stieltjes integral "
+                "(3/4 vs 5/8)",
+            },
+        ),
+        (
+            # the negative at 1/2 moved to 9/10: still positive weights at increasing places
+            "negative_differential",
+            lambda real: lambda g: AtomicMeasure(
+                ((Fraction(1, 10), Fraction(1, 2)), (Fraction(9, 10), Fraction(1, 2)))
+            ),
+            {
+                0: "FAIL  trapezoid area = balanced Stieltjes integral (7/8 vs 5/8)",
+                1: "FAIL  strict pair probability = right-limit Stieltjes integral "
+                "(3/4 vs 1/2)",
+            },
+        ),
     ],
-    ids=["integrals", "tie-correction", "no-tie-condition"],
+    ids=[
+        "integrals",
+        "tie-correction",
+        "tie-chain",
+        "no-tie-condition",
+        "curve",
+        "area",
+        "fast-pair-count",
+        "rate-step-function",
+        "negative-differential",
+    ],
 )
 def test_main_check_prints_fail_rows_instead_of_raising(
     tmp_path, capsys, monkeypatch, stage, patch, changed
@@ -848,6 +932,43 @@ def test_main_check_reports_failures_with_exit_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "FAIL  injected identity" in captured.out
     assert "1 identity check(s) failed" in captured.err
+
+
+def test_main_check_prints_the_golden_rows_on_a_nondyadic_file(capsys):
+    assert main(["check", "--input", str(DATA / "nondyadic.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (DATA / "nondyadic_check.txt").read_bytes().decode("utf-8")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["report"], "exactroc report: error: the following arguments are required: --input"),
+        (
+            ["report", "--input", "d.csv", "--output", "xml"],
+            "exactroc report: error: argument --output: invalid choice: 'xml'",
+        ),
+        ([], "exactroc: error: the following arguments are required: command"),
+    ],
+    ids=["missing-input", "bad-output", "missing-command"],
+)
+def test_main_usage_error_exits_1_not_the_degenerate_code(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: exactroc")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_main_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: exactroc")
 
 
 def test_main_curve_writes_svg(tmp_path):

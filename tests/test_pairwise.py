@@ -14,7 +14,6 @@ from exactroc import (
 )
 from exactroc.pairwise import (
     SharedScore,
-    TieReport,
     hypothesis_holds,
     pair_probability_bruteforce,
 )
@@ -82,25 +81,6 @@ def test_hypothesis_holds(counterexample, mixed):
     assert not hypothesis_holds(counterexample)
     assert not hypothesis_holds(mixed)
     assert hypothesis_holds(Dataset(["0.8", "0.4"], ["0.6", "0.2"]))
-
-
-def test_tie_report_validates_chain():
-    with pytest.raises(ValueError):
-        TieReport(
-            shared_scores=(),
-            correction=Fraction(1, 2),
-            bound=Fraction(1, 4),
-            b_given_p=Fraction(1, 2),
-            b_given_n=Fraction(1, 2),
-        )
-    with pytest.raises(ValueError):
-        TieReport(
-            shared_scores=(),
-            correction=Fraction(0),
-            bound=Fraction(3, 4),
-            b_given_p=Fraction(1),
-            b_given_n=Fraction(1),
-        )
 
 
 @given(st.integers(0, 10**6))

@@ -89,6 +89,24 @@ def test_integrate_balanced_mixed(mixed):
     assert integrate("right", t, m) == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("side", ["pos", "Positive", "", None])
+def test_rate_step_function_rejects_an_unknown_side(mixed, side):
+    with pytest.raises(ValueError) as exc:
+        rate_step_function(mixed, side)
+    assert str(exc.value) == f"side must be 'positive' or 'negative', not {side!r}"
+
+
+@pytest.mark.parametrize("variant", ["middle", "Right", "", None])
+def test_integrate_rejects_an_unknown_variant(mixed, variant):
+    t = rate_step_function(mixed, "positive")
+    m = negative_differential(rate_step_function(mixed, "negative"))
+    with pytest.raises(ValueError) as exc:
+        integrate(variant, t, m)
+    assert str(exc.value) == (
+        f"variant must be 'left', 'right' or 'balanced', not {variant!r}"
+    )
+
+
 def test_step_function_rejects_silent_breakpoints():
     with pytest.raises(ValueError):
         StepFunction(
