@@ -33,7 +33,7 @@ def main() -> int:
     print("-" * len(header))
     for eps in args.epsilons:
         m = LaplaceTieModel(epsilon=eps)
-        cert = jump_certificate(m, delta=1e-9)
+        cert = jump_certificate(m)
         out = area_consistency_check(m, samples=args.samples, seed=args.seed)
         jump = cert.x_minus_approx - cert.x_plus_approx
         gap_ref = 0.5 * (1.0 - 2.0 * eps) * math.exp(-eps)

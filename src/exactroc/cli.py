@@ -39,6 +39,7 @@ from .stieltjes import integrate, negative_differential, rate_step_function
 
 _LABELS = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "false": False}
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
+_MIN_WIDTH_PX = 64  # the narrowest SVG canvas, for emit_curve_svg and `curve --width`
 
 
 class ParseError(ValueError):
@@ -249,8 +250,8 @@ def _json_array(head: str, item: str, rows: Iterable[tuple[str, ...]]) -> Iterat
 
 def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
     """Standalone SVG: the curve polyline, the chance diagonal, ticks at 0, 1/2, 1."""
-    if width_px < 64:
-        raise ValueError("width must be at least 64 px")
+    if width_px < _MIN_WIDTH_PX:
+        raise ValueError(f"width must be at least {_MIN_WIDTH_PX} px")
     w = width_px
     margin = max(10, w // 8)
     span = w - 2 * margin
@@ -329,12 +330,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
-    curve = roc_curve(_load(args))
-    try:
-        svg = emit_curve_svg(curve, args.width)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    svg = emit_curve_svg(roc_curve(_load(args)), args.width)  # argparse checked the width
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(svg)
     return 0
@@ -343,7 +339,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_contlab(args: argparse.Namespace) -> int:
     try:
         model = LaplaceTieModel(args.epsilon)
-        cert = jump_certificate(model, args.delta)
+        cert = jump_certificate(model)
         area = area_consistency_check(model, args.samples, args.seed)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -377,6 +373,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _width(text: str) -> int:
+    """argparse type of `curve --width`, so a bad width is a usage error before any input."""
+    width = int(text)  # argparse reports a non-integer as an invalid _width value
+    if width < _MIN_WIDTH_PX:
+        raise argparse.ArgumentTypeError(f"width must be at least {_MIN_WIDTH_PX} px")
+    return width
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="CSV/TSV of score,label records; - is stdin")
     p.add_argument("--format", choices=["csv", "tsv"], default="csv")
@@ -397,14 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="render the ROC polyline as SVG")
     _add_input_args(p_curve)
     p_curve.add_argument("--svg", required=True, help="output SVG path")
-    p_curve.add_argument("--width", type=int, default=480, help="canvas width in px (>= 64)")
+    p_curve.add_argument(
+        "--width", type=_width, default=480, help=f"canvas width in px (>= {_MIN_WIDTH_PX})"
+    )
     p_curve.set_defaults(func=_cmd_curve)
 
     p_cont = sub.add_parser(
         "contlab", help="continuous Laplace example: ROC jump certificate and area check"
     )
     p_cont.add_argument("--epsilon", type=float, default=0.25)
-    p_cont.add_argument("--delta", type=float, default=1e-9)
     p_cont.add_argument("--samples", type=int, default=100_000)
     p_cont.add_argument("--seed", type=int, default=0)
     p_cont.set_defaults(func=_cmd_contlab)

@@ -101,19 +101,16 @@ def tpr_of_threshold(m: LaplaceTieModel, beta: float) -> float:
     return 1.0
 
 
-def jump_certificate(m: LaplaceTieModel, delta: float) -> JumpCertificate:
-    """False positive rate just below and just above the jump threshold.
+def jump_certificate(m: LaplaceTieModel) -> JumpCertificate:
+    """False positive rate at the two floats next to the jump threshold beta_star.
 
-    The pair must bracket the discontinuity: ~1 below, ~1 - e^-eps above.
-    delta has to be tiny relative to the gap between beta_star and 2 (the
-    next feature of the curve) and smaller than beta_star itself.
+    Below it the rate is exactly 1; above it, exactly 1 - e^-eps, for every
+    eps in (0, 1/2): beta_star is at most 1, so the next feature of the curve,
+    beta = 2, is far above it.
     """
-    limit = min(m.beta_star, (2.0 - m.beta_star) / 4.0)
-    if not 0.0 < delta < limit:
-        raise ValueError(f"delta must lie in (0, {limit}), got {delta}")
     return JumpCertificate(
-        x_minus_approx=fpr_of_threshold(m, m.beta_star - delta),
-        x_plus_approx=fpr_of_threshold(m, m.beta_star + delta),
+        x_minus_approx=fpr_of_threshold(m, math.nextafter(m.beta_star, 0.0)),
+        x_plus_approx=fpr_of_threshold(m, math.nextafter(m.beta_star, math.inf)),
     )
 
 

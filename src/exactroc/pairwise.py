@@ -28,19 +28,16 @@ class TieReport:
     """Cross-class tie inventory with the exact area/probability gap.
 
     correction = (1/2) * sum over shared scores of (pos / n_pos) * (neg / n_neg)
-    bound      = (1/4) * (b_given_p + b_given_n)
+    bound      = (1/4) * sum over shared scores of (pos / n_pos + neg / n_neg)
 
-    where b_given_p / b_given_n are the conditional masses of the tied-score
-    pre-image within each class. The chain 0 <= correction <= bound <= 1/2 is
-    an arithmetic consequence (ab <= (a^2+b^2)/2 <= (a+b)/2 termwise), and
-    every report checks it as one of its identity rows.
+    The chain 0 <= correction <= bound <= 1/2 is an arithmetic consequence
+    (ab <= (a^2+b^2)/2 <= (a+b)/2 termwise), and every report checks it as
+    one of its identity rows.
     """
 
     shared_scores: tuple[SharedScore, ...]
     correction: Rational
     bound: Rational
-    b_given_p: Rational
-    b_given_n: Rational
 
 
 def pair_probability_bruteforce(d: Dataset) -> Rational:
@@ -97,6 +94,4 @@ def tie_report(d: Dataset) -> TieReport:
         shared_scores=shared,
         correction=Fraction(sum(s.pos * s.neg for s in shared), 2 * n_pos * n_neg),
         bound=Fraction(tied_pos * n_neg + tied_neg * n_pos, 4 * n_pos * n_neg),
-        b_given_p=Fraction(tied_pos, n_pos),
-        b_given_n=Fraction(tied_neg, n_neg),
     )

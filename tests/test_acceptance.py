@@ -87,8 +87,7 @@ def test_criterion_1_single_shared_score_report(capsys):
         assert tie.correction == Fraction(1, 2)
         assert tie.bound == Fraction(1, 2)
         # the shared-score pre-image is the whole sample space
-        assert tie.b_given_p == 1
-        assert tie.b_given_n == 1
+        assert tie.shared_scores == ((c, 1, 1),)
         assert min(runs) < 1e-3
 
 
@@ -151,7 +150,7 @@ def test_criterion_7_continuous_roc_jump_certificate(capsys):
     with criterion(7, "Laplace-model fpr jumps from 1 to 1 - e^-eps at beta_star, < 1 s", capsys):
         t0 = time.perf_counter()
         for eps in (0.1, 0.25, 0.4):
-            cert = jump_certificate(LaplaceTieModel(epsilon=eps), delta=1e-9)
+            cert = jump_certificate(LaplaceTieModel(epsilon=eps))
             assert abs(cert.x_minus_approx - 1.0) < 1e-6
             assert abs(cert.x_plus_approx - (1.0 - math.exp(-eps))) < 1e-6
         assert time.perf_counter() - t0 < 1.0

@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import exactroc
+from exactroc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +78,16 @@ def test_readme_examples_and_tie_sweep_run():
     proc = subprocess.run([sys.executable, *sweep], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "all exact identities held" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command", ["report", "curve", "contlab", "check"])
+def test_readme_synopsis_lists_the_flags_the_parser_takes(capsys, command):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (synopsis,) = re.findall(rf"^exactroc {command} .*$", readme, re.M)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    helped = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", synopsis)) == helped
 
 
 def test_every_stage_the_benchmark_traces_resolves(monkeypatch):

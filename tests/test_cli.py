@@ -934,6 +934,13 @@ def test_main_check_reports_failures_with_exit_3(tmp_path, capsys, monkeypatch):
     assert "1 identity check(s) failed" in captured.err
 
 
+def test_main_report_prints_the_golden_text_on_a_nondyadic_file(capsys):
+    assert main(["report", "--input", str(DATA / "nondyadic.csv"), "--output", "text"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (DATA / "nondyadic_report.txt").read_bytes().decode("utf-8")
+    assert captured.err == ""
+
+
 def test_main_check_prints_the_golden_rows_on_a_nondyadic_file(capsys):
     assert main(["check", "--input", str(DATA / "nondyadic.csv")]) == 0
     captured = capsys.readouterr()
@@ -950,8 +957,9 @@ def test_main_check_prints_the_golden_rows_on_a_nondyadic_file(capsys):
             "exactroc report: error: argument --output: invalid choice: 'xml'",
         ),
         ([], "exactroc: error: the following arguments are required: command"),
+        (["contlab", "--delta", "1e-9"], "exactroc: error: unrecognized arguments: --delta 1e-9"),
     ],
-    ids=["missing-input", "bad-output", "missing-command"],
+    ids=["missing-input", "bad-output", "missing-command", "contlab-delta"],
 )
 def test_main_usage_error_exits_1_not_the_degenerate_code(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -987,10 +995,15 @@ def test_main_curve_writes_the_golden_svg(tmp_path):
 
 
 def test_main_curve_rejects_a_narrow_width(tmp_path, capsys):
-    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    # a usage error, found before the input is opened: this input does not exist
     out = tmp_path / "curve.svg"
-    assert main(["curve", "--input", path, "--svg", str(out), "--width", "10"]) == 1
-    assert capsys.readouterr().err == "error: width must be at least 64 px\n"
+    argv = ["curve", "--input", str(tmp_path / "missing.csv"), "--svg", str(out), "--width", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: exactroc curve")
+    assert err.endswith("exactroc curve: error: argument --width: width must be at least 64 px\n")
     assert not out.exists()
 
 
@@ -1131,6 +1144,12 @@ def test_main_contlab_prints_certificate(capsys):
 def test_main_contlab_rejects_bad_draw_arguments(capsys, flag, value, message):
     assert main(["contlab", "--samples", "10", flag, value]) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_main_contlab_certifies_the_jump_next_to_the_upper_end_of_epsilon(capsys):
+    # beta_star is ~3.3e-10 here, below the fixed 1e-9 probe offset of earlier releases
+    assert main(["contlab", "--epsilon", "0.4999999999", "--samples", "1000"]) == 0
+    assert "fpr_below_jump   1\n" in capsys.readouterr().out
 
 
 def test_main_contlab_bad_epsilon_exits_1(capsys):

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exactroc
 from exactroc.contlab import (
     LaplaceTieModel,
     area_consistency_check,
@@ -95,22 +100,23 @@ def test_rate_functions_reject_nonpositive_threshold():
             tpr_of_threshold(m, b)
 
 
-@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("eps", [*EPSILONS, 0.4999999999, math.nextafter(0.5, 0.0)])
 def test_jump_certificate_brackets_the_discontinuity(eps):
-    m = LaplaceTieModel(epsilon=eps)
-    cert = jump_certificate(m, delta=1e-9)
-    assert cert.x_minus_approx == 1.0
-    assert cert.x_plus_approx == pytest.approx(1.0 - math.exp(-eps), abs=1e-15)
+    # exact at the floats next to beta_star, which is ~3e-10 and ~2e-16 at the last two
+    cert = jump_certificate(LaplaceTieModel(epsilon=eps))
+    assert cert == (1.0, 1.0 - math.exp(-eps))
     assert cert.x_minus_approx - cert.x_plus_approx == pytest.approx(
         math.exp(-eps), abs=1e-12
     )
 
 
-def test_jump_certificate_rejects_out_of_range_delta():
-    m = LaplaceTieModel(epsilon=0.25)
-    for delta in (0.0, -1e-9, 0.5, m.beta_star):
-        with pytest.raises(ValueError):
-            jump_certificate(m, delta)
+def test_sweep_script_runs_next_to_the_upper_end_of_epsilon():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "contlab_sweep.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
+    argv = [sys.executable, str(script), "--samples", "1000", "--epsilons", "0.4999999999"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[2].split()[:3] == ["0.50", "0.606531", "0.606531"]
 
 
 @pytest.mark.parametrize("eps", QUADRATURE_EPSILONS)
