@@ -5,9 +5,11 @@ rate at beta_star, the quadrature area, the Monte-Carlo pair probability,
 and the observed gap next to its closed-form reference (1/2)(1-2e)e^-e.
 The gap shrinking to 0 as epsilon grows, and to 1/2 as epsilon vanishes,
 shows the continuous model interpolating between a tie-free ranker and a
-completely tied one.
+completely tied one. Each row is labelled with its epsilon's `repr`, so
+distinct epsilons never share a label. An argument the model or the
+Monte-Carlo check rejects exits 2 with a usage message, before any row.
 
-Usage: python scripts/contlab_sweep.py [--samples N] [--seed S]
+Usage: python scripts/contlab_sweep.py [--samples N] [--seed S] [--epsilons E [E ...]]
 """
 
 import argparse
@@ -28,17 +30,24 @@ def main() -> int:
     )
     args = ap.parse_args()
 
-    header = f"{'eps':>5}  {'fpr_jump':>9}  {'e^-eps':>9}  {'area':>9}  {'pair_mc':>9}  {'gap':>9}  {'gap_ref':>9}"
+    rows = []
+    for eps in args.epsilons:
+        try:
+            m = LaplaceTieModel(epsilon=eps)
+            out = area_consistency_check(m, samples=args.samples, seed=args.seed)
+        except ValueError as e:
+            ap.error(str(e))
+        rows.append((eps, jump_certificate(m), out))
+
+    width = max(len(repr(eps)) for eps in args.epsilons)
+    header = f"{'eps':>{width}}  {'fpr_jump':>9}  {'e^-eps':>9}  {'area':>9}  {'pair_mc':>9}  {'gap':>9}  {'gap_ref':>9}"
     print(header)
     print("-" * len(header))
-    for eps in args.epsilons:
-        m = LaplaceTieModel(epsilon=eps)
-        cert = jump_certificate(m)
-        out = area_consistency_check(m, samples=args.samples, seed=args.seed)
+    for eps, cert, out in rows:
         jump = cert.x_minus_approx - cert.x_plus_approx
         gap_ref = 0.5 * (1.0 - 2.0 * eps) * math.exp(-eps)
         print(
-            f"{eps:>5.2f}  {jump:>9.6f}  {math.exp(-eps):>9.6f}  "
+            f"{eps!r:>{width}}  {jump:>9.6f}  {math.exp(-eps):>9.6f}  "
             f"{out.area_quadrature:>9.6f}  {out.pair_prob_mc:>9.6f}  "
             f"{out.gap:>9.6f}  {gap_ref:>9.6f}"
         )

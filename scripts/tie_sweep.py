@@ -4,6 +4,8 @@ Every dataset is pushed through the full exact pipeline by `run_report`, which
 checks every exact identity and raises IdentityError on the first that fails
 (they are exact, so any failure is a bug). The script then reports how large
 the tie correction actually gets in practice and how tight its bound is.
+Fewer than one dataset, or a maximum size below 2, exits 2 with a usage
+message.
 
 Usage: python scripts/tie_sweep.py [--datasets N] [--max-size N] [--seed S]
 """
@@ -36,6 +38,10 @@ def main() -> int:
     ap.add_argument("--max-size", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.datasets < 1:
+        ap.error(f"argument --datasets: must be at least 1, got {args.datasets}")
+    if args.max_size < 2:
+        ap.error(f"argument --max-size: must be at least 2, got {args.max_size}")
 
     rng = random.Random(args.seed)
     corrections: list[Fraction] = []

@@ -65,40 +65,29 @@ def likelihood_ratio(m: LaplaceTieModel, t: float) -> float:
     return m.beta_star
 
 
-def fpr_of_threshold(m: LaplaceTieModel, beta: float) -> float:
-    """Laplace mass of the strict acceptance region {likelihood ratio > beta}.
+def rates_of_threshold(m: LaplaceTieModel, beta: float) -> tuple[float, float]:
+    """(fpr, tpr): each class's mass of the strict acceptance region {ratio > beta}.
 
     The region is {|t| < eps, 2e^|t| > beta}, unioned with the whole tail
-    {|t| >= eps} when beta < beta_star; each branch is a closed-form Laplace
-    integral. Non-increasing in beta, 1 below beta_star, 0 at and above
-    2e^eps.
+    {|t| >= eps} when beta < beta_star. One ladder over beta_max, 2 and
+    beta_star picks the branch, and each branch gives both rates in closed
+    form: a Laplace integral for the negatives, and for the positives the
+    region's length inside the center, where their density is 1. Both rates
+    are non-increasing in beta, 1 below beta_star and 0 at and above 2e^eps.
+    `jump_certificate` reads the first, the area's Simpson rule the second.
     """
     if beta <= 0.0:
         raise ValueError("decision threshold must be positive")
     eps = m.epsilon
     if beta >= m.beta_max:
-        return 0.0
+        return 0.0, 0.0
     if beta >= 2.0:
         # center annulus ln(beta/2) < |t| < eps
-        return 2.0 / beta - math.exp(-eps)
+        return 2.0 / beta - math.exp(-eps), 2.0 * (eps - math.log(beta / 2.0))
     if beta >= m.beta_star:
-        # exactly the center: (1/2) * int_{-eps}^{eps} e^-|t| dt
-        return 1.0 - math.exp(-eps)
-    return 1.0
-
-
-def tpr_of_threshold(m: LaplaceTieModel, beta: float) -> float:
-    """Positive-class mass of {likelihood ratio > beta} (same conventions)."""
-    if beta <= 0.0:
-        raise ValueError("decision threshold must be positive")
-    eps = m.epsilon
-    if beta >= m.beta_max:
-        return 0.0
-    if beta >= 2.0:
-        return 2.0 * (eps - math.log(beta / 2.0))
-    if beta >= m.beta_star:
-        return 2.0 * eps
-    return 1.0
+        # exactly the center; its Laplace mass is (1/2) * int_{-eps}^{eps} e^-|t| dt
+        return 1.0 - math.exp(-eps), 2.0 * eps
+    return 1.0, 1.0
 
 
 def jump_certificate(m: LaplaceTieModel) -> JumpCertificate:
@@ -109,8 +98,8 @@ def jump_certificate(m: LaplaceTieModel) -> JumpCertificate:
     beta = 2, is far above it.
     """
     return JumpCertificate(
-        x_minus_approx=fpr_of_threshold(m, math.nextafter(m.beta_star, 0.0)),
-        x_plus_approx=fpr_of_threshold(m, math.nextafter(m.beta_star, math.inf)),
+        x_minus_approx=rates_of_threshold(m, math.nextafter(m.beta_star, 0.0))[0],
+        x_plus_approx=rates_of_threshold(m, math.nextafter(m.beta_star, math.inf))[0],
     )
 
 
@@ -143,7 +132,7 @@ def area_consistency_check(
     # composite Simpson rule of d(-fpr) = 2/b^2 db weighted by tpr, on [2, 2e^eps]
     h = (m.beta_max - 2.0) / SIMPSON_PANELS
     b = [2.0 + k * h for k in range(SIMPSON_PANELS)]
-    f = [tpr_of_threshold(m, x) * 2.0 / (x * x) for x in b]
+    f = [rates_of_threshold(m, x)[1] * 2.0 / (x * x) for x in b]
     smooth = h / 3.0 * (f[0] + 4.0 * sum(f[1::2]) + 2.0 * sum(f[2::2]))  # f(beta_max) = 0
     # jump atom: balanced tpr times the fpr drop 1 - (1 - e^-eps)
     jump = 0.5 * (1.0 + 2.0 * eps) * math.exp(-eps)

@@ -4,11 +4,12 @@ A non-increasing, left-continuous step function is stored as its breakpoints
 plus the value on each open interval between them, so one-sided limits are
 exact table lookups (no epsilon probing). Differentiating such a function
 (with a sign flip) yields a finite atomic measure, and integrating a step
-function against an atomic measure is a finite sum. Which one-sided variant
-of the integrand is used at the atoms - left, right, or balanced - is an
-explicit parameter: the balanced variant reproduces the trapezoidal area,
-the right variant reproduces the strict pair probability, and the two agree
-whenever no atom sits on a jump of the integrand.
+function against an atomic measure is a finite sum. Which value of the
+integrand is used at the atoms is an explicit parameter with two choices:
+the balanced (midpoint) value reproduces the trapezoidal area, the right
+limit reproduces the strict pair probability, and the two agree whenever no
+atom sits on a jump of the integrand. The left limit stays available
+pointwise, as `StepFunction.left_limit`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from typing import Literal
 
 from .core import Dataset, Rational, Score
 
-LimitVariant = Literal["left", "right", "balanced"]
-# each variant's terms use the integrand's (left limit, right limit)
-_USES = {"left": (True, False), "right": (False, True), "balanced": (True, True)}
+LimitVariant = Literal["right", "balanced"]
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,6 @@ class AtomicMeasure:
         if any(w <= 0 for _, w in self.atoms):
             raise ValueError("atom weights must be positive")
 
-    @property
-    def total_mass(self) -> Rational:
-        return sum((w for _, w in self.atoms), Fraction(0))
-
 
 def rate_step_function(d: Dataset, side: Literal["positive", "negative"]) -> StepFunction:
     """The map tau -> fraction of the chosen class with score >= tau.
@@ -115,19 +110,18 @@ def integrate(variant: LimitVariant, g: StepFunction, m: AtomicMeasure) -> Ratio
     Atoms and breakpoints both ascend, so one forward walk finds each atom's
     place among the breakpoints: `i` is where `bisect_left` would put the
     atom, and the atom sits on a jump iff breakpoints[i] equals it. The terms
-    are those of the pointwise `left_limit`, `right_limit` and `balanced`.
+    are those of the pointwise `right_limit` and `balanced`.
     """
-    if variant not in _USES:
-        raise ValueError(f"variant must be 'left', 'right' or 'balanced', not {variant!r}")
-    use_left, use_right = _USES[variant]
+    if variant not in ("right", "balanced"):
+        raise ValueError(f"variant must be 'right' or 'balanced', not {variant!r}")
+    balanced = variant == "balanced"
     bps, values = g.breakpoints, g.values
     left = right = Fraction(0)
     i = 0
     for a, w in m.atoms:
         while i < len(bps) and bps[i] < a:
             i += 1
-        if use_left:
+        if balanced:
             left += w * values[i]
-        if use_right:
-            right += w * values[i + 1 if i < len(bps) and bps[i] == a else i]
-    return (left + right) / 2 if use_left and use_right else left + right
+        right += w * values[i + 1 if i < len(bps) and bps[i] == a else i]
+    return (left + right) / 2 if balanced else right

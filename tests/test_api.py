@@ -65,6 +65,12 @@ def test_every_name_the_readme_and_scripts_import_resolves():
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
+    argv = [sys.executable, str(ROOT / "scripts" / name), *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
+
+
 def test_readme_examples_and_tie_sweep_run():
     # the README's python blocks continue one another, so they share a namespace
     blocks = _readme_python_blocks()
@@ -73,11 +79,37 @@ def test_readme_examples_and_tie_sweep_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
 
-    env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
-    sweep = [str(ROOT / "scripts" / "tie_sweep.py"), "--datasets", "20", "--max-size", "30"]
-    proc = subprocess.run([sys.executable, *sweep], capture_output=True, text=True, env=env)
+    proc = _run_script("tie_sweep.py", "--datasets", "20", "--max-size", "30")
     assert proc.returncode == 0, proc.stderr
     assert "all exact identities held" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("tie_sweep.py", ["--datasets", "0"], "argument --datasets: must be at least 1, got 0"),
+        ("tie_sweep.py", ["--max-size", "1"], "argument --max-size: must be at least 2, got 1"),
+        ("contlab_sweep.py", ["--samples", "0"], "samples must lie in [1, 10000000], got 0"),
+        ("contlab_sweep.py", ["--epsilons", "0.7"], "epsilon must lie in (0, 1/2), got 0.7"),
+    ],
+)
+def test_scripts_reject_bad_arguments_with_a_usage_error(name, args, message):
+    proc = _run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ")
+    assert proc.stderr.endswith(f"{name}: error: {message}\n")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["tie_sweep.py", "contlab_sweep.py"])
+def test_script_usage_line_lists_the_flags_the_parser_takes(name):
+    source = (ROOT / "scripts" / name).read_text(encoding="utf-8")
+    (usage,) = re.findall(r"^Usage: .*$", source, re.M)
+    proc = _run_script(name, "--help")
+    assert proc.returncode == 0, proc.stderr
+    helped = set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) - {"--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == helped
 
 
 @pytest.mark.parametrize("command", ["report", "curve", "contlab", "check"])

@@ -10,10 +10,9 @@ import exactroc
 from exactroc.contlab import (
     LaplaceTieModel,
     area_consistency_check,
-    fpr_of_threshold,
     jump_certificate,
     likelihood_ratio,
-    tpr_of_threshold,
+    rates_of_threshold,
 )
 
 EPSILONS = [0.1, 0.25, 0.4]
@@ -61,25 +60,33 @@ def test_likelihood_ratio_is_even(eps):
         assert likelihood_ratio(m, t) == likelihood_ratio(m, -t)
 
 
+def fpr(m, beta):
+    return rates_of_threshold(m, beta)[0]
+
+
+def tpr(m, beta):
+    return rates_of_threshold(m, beta)[1]
+
+
 def test_fpr_branches():
     m = LaplaceTieModel(epsilon=0.25)
     e = math.exp(-0.25)
-    assert fpr_of_threshold(m, m.beta_star / 2) == 1.0
-    assert fpr_of_threshold(m, 1.0) == 1.0 - e
-    assert fpr_of_threshold(m, 2.0) == pytest.approx(1.0 - e, abs=1e-15)
+    assert fpr(m, m.beta_star / 2) == 1.0
+    assert fpr(m, 1.0) == 1.0 - e
+    assert fpr(m, 2.0) == pytest.approx(1.0 - e, abs=1e-15)
     b = 2.0 * math.exp(0.125)
-    assert fpr_of_threshold(m, b) == pytest.approx(math.exp(-0.125) - e, rel=1e-14)
-    assert fpr_of_threshold(m, m.beta_max) == 0.0
-    assert fpr_of_threshold(m, 10.0) == 0.0
+    assert fpr(m, b) == pytest.approx(math.exp(-0.125) - e, rel=1e-14)
+    assert fpr(m, m.beta_max) == 0.0
+    assert fpr(m, 10.0) == 0.0
 
 
 def test_tpr_branches():
     m = LaplaceTieModel(epsilon=0.25)
-    assert tpr_of_threshold(m, m.beta_star / 2) == 1.0
-    assert tpr_of_threshold(m, 1.0) == 0.5
+    assert tpr(m, m.beta_star / 2) == 1.0
+    assert tpr(m, 1.0) == 0.5
     b = 2.0 * math.exp(0.125)
-    assert tpr_of_threshold(m, b) == pytest.approx(0.25, rel=1e-14)
-    assert tpr_of_threshold(m, m.beta_max) == 0.0
+    assert tpr(m, b) == pytest.approx(0.25, rel=1e-14)
+    assert tpr(m, m.beta_max) == 0.0
 
 
 @pytest.mark.parametrize("eps", EPSILONS)
@@ -87,17 +94,15 @@ def test_rates_non_increasing_in_threshold(eps):
     m = LaplaceTieModel(epsilon=eps)
     grid = [m.beta_max * k / 400 for k in range(1, 401)]
     for b1, b2 in zip(grid, grid[1:]):
-        assert fpr_of_threshold(m, b1) >= fpr_of_threshold(m, b2)
-        assert tpr_of_threshold(m, b1) >= tpr_of_threshold(m, b2)
+        assert fpr(m, b1) >= fpr(m, b2)
+        assert tpr(m, b1) >= tpr(m, b2)
 
 
 def test_rate_functions_reject_nonpositive_threshold():
     m = LaplaceTieModel(epsilon=0.25)
     for b in (0.0, -1.0):
         with pytest.raises(ValueError):
-            fpr_of_threshold(m, b)
-        with pytest.raises(ValueError):
-            tpr_of_threshold(m, b)
+            rates_of_threshold(m, b)
 
 
 @pytest.mark.parametrize("eps", [*EPSILONS, 0.4999999999, math.nextafter(0.5, 0.0)])
@@ -110,13 +115,23 @@ def test_jump_certificate_brackets_the_discontinuity(eps):
     )
 
 
-def test_sweep_script_runs_next_to_the_upper_end_of_epsilon():
+def run_sweep_script(*args):
     script = Path(__file__).resolve().parents[1] / "scripts" / "contlab_sweep.py"
     env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
-    argv = [sys.executable, str(script), "--samples", "1000", "--epsilons", "0.4999999999"]
+    argv = [sys.executable, str(script), "--samples", "1000", *args]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[2].split()[:3] == ["0.50", "0.606531", "0.606531"]
+    return [line.split() for line in proc.stdout.splitlines()[2:]]
+
+
+def test_sweep_script_runs_next_to_the_upper_end_of_epsilon():
+    rows = run_sweep_script("--epsilons", "0.4999999999")
+    assert rows[0][:3] == ["0.4999999999", "0.606531", "0.606531"]
+
+
+def test_sweep_script_labels_each_epsilon_apart():
+    rows = run_sweep_script("--epsilons", "0.001", "0.004")
+    assert [row[0] for row in rows[:2]] == ["0.001", "0.004"]
 
 
 @pytest.mark.parametrize("eps", QUADRATURE_EPSILONS)
