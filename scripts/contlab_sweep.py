@@ -1,13 +1,14 @@
 """Sweep the Laplace tie model's center width and tabulate the ROC jump.
 
 For each epsilon the script prints the certified jump in the false positive
-rate at beta_star, the quadrature area, the Monte-Carlo pair probability,
-and the observed gap next to its closed-form reference (1/2)(1-2e)e^-e.
-The gap shrinking to 0 as epsilon grows, and to 1/2 as epsilon vanishes,
-shows the continuous model interpolating between a tie-free ranker and a
-completely tied one. Each row is labelled with its epsilon's `repr`, so
-distinct epsilons never share a label. An argument the model or the
-Monte-Carlo check rejects exits 2 with a usage message, before any row.
+rate at beta_star, the model's closed-form area, pair probability and gap
+(1/2)(1-2e)e^-e, and next to them the exact auc, pair probability and tie
+correction of one drawn sample, which `run_report` computes and checks
+(rounded here to 6 places). The gap shrinking to 0 as epsilon grows, and to
+1/2 as epsilon vanishes, shows the continuous model interpolating between a
+tie-free ranker and a completely tied one. Each row is labelled with its
+epsilon's `repr`, so distinct epsilons never share a label. An argument that
+`exactroc contlab` rejects exits 2 with a usage message, before any row.
 
 Usage: python scripts/contlab_sweep.py [--samples N] [--seed S] [--epsilons E [E ...]]
 """
@@ -15,12 +16,13 @@ Usage: python scripts/contlab_sweep.py [--samples N] [--seed S] [--epsilons E [E
 import argparse
 import math
 
-from exactroc.contlab import LaplaceTieModel, area_consistency_check, jump_certificate
+from exactroc import run_report
+from exactroc.contlab import LaplaceTieModel, jump_certificate, sample
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--samples", type=int, default=200_000)
+    ap.add_argument("--samples", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
         "--epsilons",
@@ -34,24 +36,25 @@ def main() -> int:
     for eps in args.epsilons:
         try:
             m = LaplaceTieModel(epsilon=eps)
-            out = area_consistency_check(m, samples=args.samples, seed=args.seed)
+            d = sample(m, args.samples, args.seed)
         except ValueError as e:
             ap.error(str(e))
-        rows.append((eps, jump_certificate(m), out))
+        cert, r = jump_certificate(m), run_report(d)
+        jump = cert.x_minus_approx - cert.x_plus_approx
+        exact = (r.auc, r.pair_probability, r.tie.correction)
+        rows.append((eps, jump, math.exp(-eps), m.area, m.pair_probability, m.gap, *exact))
 
     width = max(len(repr(eps)) for eps in args.epsilons)
-    header = f"{'eps':>{width}}  {'fpr_jump':>9}  {'e^-eps':>9}  {'area':>9}  {'pair_mc':>9}  {'gap':>9}  {'gap_ref':>9}"
+    names = ["fpr_jump", "e^-eps", "area", "pair", "gap", "auc", "pair_prob", "tie_corr"]
+    header = f"{'eps':>{width}}" + "".join(f"  {name:>9}" for name in names)
     print(header)
     print("-" * len(header))
-    for eps, cert, out in rows:
-        jump = cert.x_minus_approx - cert.x_plus_approx
-        gap_ref = 0.5 * (1.0 - 2.0 * eps) * math.exp(-eps)
-        print(
-            f"{eps!r:>{width}}  {jump:>9.6f}  {math.exp(-eps):>9.6f}  "
-            f"{out.area_quadrature:>9.6f}  {out.pair_prob_mc:>9.6f}  "
-            f"{out.gap:>9.6f}  {gap_ref:>9.6f}"
-        )
-    print(f"\n({args.samples} Monte-Carlo draws per row, seed {args.seed})")
+    for eps, *values in rows:
+        print(f"{eps!r:>{width}}" + "".join(f"  {float(v):>9.6f}" for v in values))
+    print(
+        f"\n(area, pair, gap: closed forms; auc, pair_prob, tie_corr: the exact values of "
+        f"{args.samples} draws of each class, seed {args.seed})"
+    )
     return 0
 
 

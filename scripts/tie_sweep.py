@@ -4,7 +4,8 @@ Every dataset is pushed through the full exact pipeline by `run_report`, which
 checks every exact identity and raises IdentityError on the first that fails
 (they are exact, so any failure is a bug). The script then reports how large
 the tie correction actually gets in practice and how tight its bound is.
-Fewer than one dataset, or a maximum size below 2, exits 2 with a usage
+Fewer than one dataset, a maximum size below 2, or a negative seed (which
+`random.Random` would read as its absolute value) exits 2 with a usage
 message.
 
 Usage: python scripts/tie_sweep.py [--datasets N] [--max-size N] [--seed S]
@@ -42,6 +43,8 @@ def main() -> int:
         ap.error(f"argument --datasets: must be at least 1, got {args.datasets}")
     if args.max_size < 2:
         ap.error(f"argument --max-size: must be at least 2, got {args.max_size}")
+    if args.seed < 0:
+        ap.error(f"argument --seed: must be non-negative, got {args.seed}")
 
     rng = random.Random(args.seed)
     corrections: list[Fraction] = []

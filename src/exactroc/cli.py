@@ -25,7 +25,7 @@ from math import gcd
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal, NoReturn
 
-from .contlab import LaplaceTieModel, area_consistency_check, jump_certificate
+from .contlab import LaplaceTieModel, jump_certificate, sample
 from .core import Dataset, DegenerateClassesError, Rational, score
 from .pairwise import (
     TieReport,
@@ -339,18 +339,19 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_contlab(args: argparse.Namespace) -> int:
     try:
         model = LaplaceTieModel(args.epsilon)
-        cert = jump_certificate(model)
-        area = area_consistency_check(model, args.samples, args.seed)
+        drawn = sample(model, args.samples, args.seed)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(f"epsilon          {args.epsilon:.17g}")
-    print(f"beta_star        {model.beta_star:.17g}")
-    print(f"fpr_below_jump   {cert.x_minus_approx:.17g}")
-    print(f"fpr_above_jump   {cert.x_plus_approx:.17g}")
-    print(f"area_quadrature  {area.area_quadrature:.17g}")
-    print(f"pair_prob_mc     {area.pair_prob_mc:.17g}")
-    print(f"gap              {area.gap:.17g}")
+    cert = jump_certificate(model)
+    r = run_report(drawn)  # every identity row is checked on the sample; a failure exits 3
+    floats = dict(
+        epsilon=args.epsilon, beta_star=model.beta_star, fpr_below_jump=cert.x_minus_approx,
+        fpr_above_jump=cert.x_plus_approx, model_area=model.area,
+        model_pair_prob=model.pair_probability, model_gap=model.gap)
+    exact = dict(auc=r.auc, pair_probability=r.pair_probability, tie_correction=r.tie.correction)
+    sys.stdout.writelines(f"{name:<17}{x:.17g}\n" for name, x in floats.items())
+    sys.stdout.writelines(f"{name:<17}{_frac(q)} = {_dec17(q)}\n" for name, q in exact.items())
     return 0
 
 
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "contlab", help="continuous Laplace example: ROC jump certificate and area check"
     )
     p_cont.add_argument("--epsilon", type=float, default=0.25)
-    p_cont.add_argument("--samples", type=int, default=100_000)
+    p_cont.add_argument("--samples", type=int, default=20_000)
     p_cont.add_argument("--seed", type=int, default=0)
     p_cont.set_defaults(func=_cmd_contlab)
 

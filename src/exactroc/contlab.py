@@ -1,18 +1,16 @@
 """Continuous-score laboratory: a likelihood-ratio ROC with a genuine jump.
 
-Negatives are standard Laplace; positives are uniform on (-eps, eps) with
-matched exponential tails outside. The likelihood ratio is then 2*e^|t| on
-the center and constant at beta_star = (1-2*eps)*e^eps on the tails, so the
-tails form a tie region of positive mass: the false positive rate as a
-function of the decision threshold jumps from 1 down to 1 - e^-eps at
-beta_star even though both class distributions have densities. This is the
-continuous analog of a cross-class score tie, and the area/pair-probability
-gap it produces mirrors the discrete tie correction.
+Negatives are standard Laplace; positives are uniform on (-eps, eps) with matched
+exponential tails outside. The likelihood ratio is then 2*e^|t| on the center and
+constant at beta_star = (1-2*eps)*e^eps on the tails, so the tails form a tie region of
+positive mass: the false positive rate as a function of the decision threshold jumps
+from 1 down to 1 - e^-eps at beta_star even though both class distributions have
+densities. This is the continuous analog of a cross-class score tie, and the
+area/pair-probability gap it produces is the discrete tie correction of that one atom.
 
-Everything here is floating point with explicit tolerances, in contrast to
-the exact discrete modules: closed-form Laplace integrals where possible, a
-Simpson rule only inside the area consistency check. Only the standard
-library is used.
+The model's rates, area, pair probability and gap are closed-form floats. `sample`
+draws a finite sample whose exact scores rank the draws as the likelihood ratio does,
+so the exact engine counts all of its pairs. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -20,10 +18,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
-SIMPSON_PANELS = 1024  # even; worst error vs the closed form 6.4e-14 for eps in [0.01, 0.499]
-MAX_SAMPLES = 10**7  # Monte-Carlo draw cap: roughly 10-20 s of pure-Python draws
+from .core import Dataset
+
+MAX_SAMPLES = 200_000  # draws per class; `contlab` at eps = 0.49 then takes about 10 s and 140 MB
+_TAIL = Fraction(0)  # the one score of every tail draw, below each center draw's 1 + |t|
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,27 @@ class LaplaceTieModel:
         """Supremum of the likelihood ratio (approached at |t| -> eps)."""
         return 2.0 * math.exp(self.epsilon)
 
+    @property
+    def area(self) -> float:
+        """Area under the ROC: the smooth sweep plus the jump's balanced (midpoint) atom."""
+        eps = self.epsilon
+        return 2.0 * (eps - 1.0 + math.exp(-eps)) + 0.5 * (1.0 + 2.0 * eps) * math.exp(-eps)
+
+    @property
+    def pair_probability(self) -> float:
+        """P(ratio of a negative draw < ratio of a positive draw): tail pairs tie, never win."""
+        eps = self.epsilon
+        return 2.0 * (eps - 1.0 + math.exp(-eps)) + 2.0 * eps * math.exp(-eps)
+
+    @property
+    def gap(self) -> float:
+        """area - pair_probability: the tie term of the tail atom, (1/2)(1-2eps)e^-eps."""
+        return 0.5 * (1.0 - 2.0 * self.epsilon) * math.exp(-self.epsilon)
+
 
 class JumpCertificate(NamedTuple):
     x_minus_approx: float
     x_plus_approx: float
-
-
-class AreaConsistency(NamedTuple):
-    area_quadrature: float
-    pair_prob_mc: float
-    gap: float
 
 
 def likelihood_ratio(m: LaplaceTieModel, t: float) -> float:
@@ -63,6 +75,15 @@ def likelihood_ratio(m: LaplaceTieModel, t: float) -> float:
     if abs(t) < m.epsilon:
         return 2.0 * math.exp(abs(t))
     return m.beta_star
+
+
+def exact_score(m: LaplaceTieModel, t: float) -> Fraction:
+    """An exact score in the order of `likelihood_ratio(m, t)`, ties included.
+
+    A tail draw (|t| >= eps, the same test) scores 0 and a center draw 1 + |t|, exact
+    from the float: the ratio is flat on the tails, and above that, increasing in |t|.
+    """
+    return _TAIL if abs(t) >= m.epsilon else 1 + Fraction(abs(t))
 
 
 def rates_of_threshold(m: LaplaceTieModel, beta: float) -> tuple[float, float]:
@@ -74,7 +95,6 @@ def rates_of_threshold(m: LaplaceTieModel, beta: float) -> tuple[float, float]:
     form: a Laplace integral for the negatives, and for the positives the
     region's length inside the center, where their density is 1. Both rates
     are non-increasing in beta, 1 below beta_star and 0 at and above 2e^eps.
-    `jump_certificate` reads the first, the area's Simpson rule the second.
     """
     if beta <= 0.0:
         raise ValueError("decision threshold must be positive")
@@ -103,47 +123,26 @@ def jump_certificate(m: LaplaceTieModel) -> JumpCertificate:
     )
 
 
-def area_consistency_check(
-    m: LaplaceTieModel, samples: int, seed: int
-) -> AreaConsistency:
-    """Area under the jumping ROC vs a Monte-Carlo pair probability.
+def sample(m: LaplaceTieModel, samples: int, seed: int) -> Dataset:
+    """`samples` draws of each class as a Dataset whose exact scores rank like the ratio.
 
-    The area is the Stieltjes integral of the true positive rate against the
-    decreasing false positive rate: quadrature over the smooth sweep segment
-    (thresholds in [2, 2e^eps]) plus the jump atom at beta_star, where the
-    integrand takes its balanced (midpoint) value. The pair probability uses
-    the strict event {ratio(negative draw) < ratio(positive draw)}, so the
-    tie region's mass is excluded and a strictly positive gap is expected,
-    exactly as in the discrete tied case.
-
-    Draws come from one `random.Random(seed)` in a fixed order, so the
-    Monte-Carlo value is reproducible bit-for-bit for a given seed. The ratio
-    is even in t, so each draw is of |t| alone: positives are uniform on
-    [0, eps) with probability 2*eps and eps + Exp(1) otherwise; negatives are
-    Exp(1). At most MAX_SAMPLES draws are allowed. The seed must be
-    non-negative: `random.Random` would silently treat -s as s.
+    Draws come from one `random.Random(seed)` in a fixed order, so the sample is
+    reproducible bit-for-bit for a given seed. The ratio is even in t, so each
+    draw is of |t| alone: positives are uniform on [0, eps) with probability
+    2*eps and eps + Exp(1) otherwise; negatives are Exp(1). Each draw becomes its
+    `exact_score`. At most MAX_SAMPLES draws of each class are allowed. The seed must
+    be non-negative: `random.Random` would silently treat -s as s.
     """
     if not 0 < samples <= MAX_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     eps = m.epsilon
-
-    # composite Simpson rule of d(-fpr) = 2/b^2 db weighted by tpr, on [2, 2e^eps]
-    h = (m.beta_max - 2.0) / SIMPSON_PANELS
-    b = [2.0 + k * h for k in range(SIMPSON_PANELS)]
-    f = [rates_of_threshold(m, x)[1] * 2.0 / (x * x) for x in b]
-    smooth = h / 3.0 * (f[0] + 4.0 * sum(f[1::2]) + 2.0 * sum(f[2::2]))  # f(beta_max) = 0
-    # jump atom: balanced tpr times the fpr drop 1 - (1 - e^-eps)
-    jump = 0.5 * (1.0 + 2.0 * eps) * math.exp(-eps)
-    area = smooth + jump
-
     rng = random.Random(seed)
-    wins = 0
+    positives, negatives = [], []
     for _ in range(samples):
         r = rng.uniform(0.0, eps) if rng.random() < 2.0 * eps else eps + rng.expovariate(1.0)
         s = rng.expovariate(1.0)
-        wins += likelihood_ratio(m, s) < likelihood_ratio(m, r)
-    pair = wins / samples
-
-    return AreaConsistency(area_quadrature=area, pair_prob_mc=pair, gap=area - pair)
+        positives.append(exact_score(m, r))
+        negatives.append(exact_score(m, s))
+    return Dataset(positives, negatives)

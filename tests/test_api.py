@@ -89,8 +89,9 @@ def test_readme_examples_and_tie_sweep_run():
     [
         ("tie_sweep.py", ["--datasets", "0"], "argument --datasets: must be at least 1, got 0"),
         ("tie_sweep.py", ["--max-size", "1"], "argument --max-size: must be at least 2, got 1"),
-        ("contlab_sweep.py", ["--samples", "0"], "samples must lie in [1, 10000000], got 0"),
+        ("contlab_sweep.py", ["--samples", "0"], "samples must lie in [1, 200000], got 0"),
         ("contlab_sweep.py", ["--epsilons", "0.7"], "epsilon must lie in (0, 1/2), got 0.7"),
+        ("tie_sweep.py", ["--seed", "-1"], "argument --seed: must be non-negative, got -1"),
     ],
 )
 def test_scripts_reject_bad_arguments_with_a_usage_error(name, args, message):

@@ -29,7 +29,7 @@ from exactroc import (
     run_report,
 )
 from exactroc.cli import emit_curve_svg, main
-from exactroc.contlab import MAX_SAMPLES
+from exactroc.contlab import MAX_SAMPLES, LaplaceTieModel, sample
 from exactroc.core import Dataset
 from exactroc.roc import RocCurve
 from exactroc.stieltjes import AtomicMeasure
@@ -1126,12 +1126,38 @@ def test_main_contlab_prints_certificate(capsys):
         "beta_star",
         "fpr_below_jump",
         "fpr_above_jump",
-        "area_quadrature",
-        "pair_prob_mc",
-        "gap",
+        "model_area",
+        "model_pair_prob",
+        "model_gap",
+        "auc",
+        "pair_probability",
+        "tie_correction",
     ]
-    value = {name: float(text) for name, text in rows}
-    assert value["gap"] == value["area_quadrature"] - value["pair_prob_mc"]
+    value = {row[0]: row[1:] for row in rows}
+    model = LaplaceTieModel(0.25)
+    assert [float(value[name][0]) for name in ("model_area", "model_pair_prob", "model_gap")] == [
+        model.area,
+        model.pair_probability,
+        model.gap,
+    ]
+    # the sample's values print exactly, as `report --output text` prints them
+    r = run_report(sample(model, 1000, 1))
+    exact = {"auc": r.auc, "pair_probability": r.pair_probability, "tie_correction": r.tie.correction}
+    for name, q in exact.items():
+        assert Fraction(value[name][0]) == q and value[name][1] == "="
+    assert exact["auc"] - exact["pair_probability"] == exact["tie_correction"] > 0
+
+
+def test_main_contlab_exits_3_when_an_identity_row_fails_on_the_sample(capsys, monkeypatch):
+    import exactroc.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "pair_probability_fast", lambda d: Fraction(1, 2))
+    assert main(["contlab", "--samples", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: RocReport: strict pair probability = right-limit Stieltjes integral: 1/2 vs "
+    )
 
 
 @pytest.mark.parametrize(

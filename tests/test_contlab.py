@@ -2,22 +2,26 @@ import math
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
 import exactroc
+from exactroc import run_report
 from exactroc.contlab import (
     LaplaceTieModel,
-    area_consistency_check,
+    exact_score,
     jump_certificate,
     likelihood_ratio,
     rates_of_threshold,
+    sample,
 )
 
 EPSILONS = [0.1, 0.25, 0.4]
-# the Simpson rule's error vs the closed form is largest at the ends of (0, 1/2)
-QUADRATURE_EPSILONS = [0.01, *EPSILONS, 0.49]
+# the ends of (0, 1/2): almost every pair tied, and almost none
+SAMPLE_EPSILONS = [0.01, *EPSILONS, 0.49]
+SAMPLES = 20_000  # draws of each class; a sample value lies within 3/sqrt(SAMPLES) of the model's
 
 
 def analytic_area(eps: float) -> float:
@@ -30,6 +34,11 @@ def analytic_pair(eps: float) -> float:
 
 def analytic_gap(eps: float) -> float:
     return 0.5 * (1.0 - 2.0 * eps) * math.exp(-eps)
+
+
+@cache
+def sample_report(eps: float):
+    return run_report(sample(LaplaceTieModel(epsilon=eps), SAMPLES, seed=7))
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.5, -0.1, 1.0])
@@ -134,48 +143,72 @@ def test_sweep_script_labels_each_epsilon_apart():
     assert [row[0] for row in rows[:2]] == ["0.001", "0.004"]
 
 
-@pytest.mark.parametrize("eps", QUADRATURE_EPSILONS)
-def test_area_quadrature_matches_closed_form(eps):
+@pytest.mark.parametrize("eps", SAMPLE_EPSILONS)
+def test_closed_forms_match_the_reference(eps):
     m = LaplaceTieModel(epsilon=eps)
-    out = area_consistency_check(m, samples=1000, seed=0)
-    assert out.area_quadrature == pytest.approx(analytic_area(eps), abs=1e-9)
+    assert m.area == pytest.approx(analytic_area(eps), abs=1e-15)
+    assert m.pair_probability == pytest.approx(analytic_pair(eps), abs=1e-15)
+    assert m.gap == pytest.approx(analytic_gap(eps), abs=1e-15)
+    assert m.area - m.pair_probability == pytest.approx(m.gap, abs=1e-15)
 
 
-@pytest.mark.parametrize("eps", EPSILONS)
+@pytest.mark.parametrize("eps", SAMPLE_EPSILONS)
+def test_exact_score_orders_draws_as_the_likelihood_ratio(eps):
+    m = LaplaceTieModel(epsilon=eps)
+    below, above = math.nextafter(eps, 0.0), math.nextafter(eps, math.inf)
+    draws = [0.0, eps / 3, -eps / 3, eps / 2, below, -below, eps, -eps, above, 2 * eps, 5.0, -40.0]
+    for a in draws:
+        for b in draws:
+            ra, rb = likelihood_ratio(m, a), likelihood_ratio(m, b)
+            sa, sb = exact_score(m, a), exact_score(m, b)
+            assert (sa < sb) == (ra < rb), (a, b)
+            assert (sa == sb) == (ra == rb), (a, b)
+
+
+@pytest.mark.parametrize("eps", SAMPLE_EPSILONS)
+def test_sample_auc_matches_closed_form(eps):
+    r = sample_report(eps)
+    assert r.auc == pytest.approx(analytic_area(eps), abs=3.0 / math.sqrt(SAMPLES))
+
+
+@pytest.mark.parametrize("eps", SAMPLE_EPSILONS)
 def test_pair_probability_mc_matches_closed_form(eps):
-    m = LaplaceTieModel(epsilon=eps)
-    samples = 200_000
-    out = area_consistency_check(m, samples=samples, seed=7)
-    assert out.pair_prob_mc == pytest.approx(
-        analytic_pair(eps), abs=3.0 / math.sqrt(samples)
-    )
-    assert out.gap == out.area_quadrature - out.pair_prob_mc
+    # the sample is drawn at random; its pair probability is counted exactly over all pairs
+    r = sample_report(eps)
+    assert r.pair_probability == pytest.approx(analytic_pair(eps), abs=3.0 / math.sqrt(SAMPLES))
+
+
+@pytest.mark.parametrize("eps", SAMPLE_EPSILONS)
+def test_sample_tie_correction_matches_closed_form(eps):
+    r = sample_report(eps)
+    assert r.tie.correction == pytest.approx(analytic_gap(eps), abs=3.0 / math.sqrt(SAMPLES))
+    assert r.auc - r.pair_probability == r.tie.correction
 
 
 def test_gap_is_strictly_positive_and_near_analytic():
-    m = LaplaceTieModel(epsilon=0.25)
-    out = area_consistency_check(m, samples=200_000, seed=11)
-    assert out.gap > 0
-    assert out.gap == pytest.approx(analytic_gap(0.25), abs=0.01)
+    r = sample_report(0.25)
+    # every tail draw shares one score, so the only shared score is the tail's
+    (tail,) = r.tie.shared_scores
+    assert tail.score == 0
+    assert r.tie.correction > 0
+    assert r.tie.correction == pytest.approx(analytic_gap(0.25), abs=0.01)
 
 
 def test_small_center_makes_ranking_nearly_uninformative():
     # as the center shrinks, almost all mass is tied and the pair probability
     # collapses toward 0 while the area stays near 1/2
-    out = area_consistency_check(LaplaceTieModel(epsilon=0.01), samples=50_000, seed=3)
-    assert out.pair_prob_mc < 0.1
-    assert abs(out.area_quadrature - 0.5) < 0.05
+    r = sample_report(0.01)
+    assert r.pair_probability < 0.1
+    assert abs(r.auc - 0.5) < 0.05
 
 
 def test_area_check_is_deterministic_per_seed():
     m = LaplaceTieModel(epsilon=0.25)
-    a = area_consistency_check(m, samples=10_000, seed=42)
-    b = area_consistency_check(m, samples=10_000, seed=42)
-    assert a == b
-    c = area_consistency_check(m, samples=10_000, seed=43)
-    assert c.pair_prob_mc != a.pair_prob_mc
+    a = sample(m, samples=10_000, seed=42)
+    assert a == sample(m, samples=10_000, seed=42)
+    assert a != sample(m, samples=10_000, seed=43)
 
 
 def test_area_check_rejects_nonpositive_samples():
-    with pytest.raises(ValueError):
-        area_consistency_check(LaplaceTieModel(epsilon=0.25), samples=0, seed=0)
+    with pytest.raises(ValueError, match="samples must lie in"):
+        sample(LaplaceTieModel(epsilon=0.25), samples=0, seed=0)
