@@ -18,7 +18,6 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -26,7 +25,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal, NoReturn
 
 from .contlab import LaplaceTieModel, jump_certificate, sample
-from .core import Dataset, DegenerateClassesError, Rational, score
+from .core import Dataset, DegenerateClassesError, Rational, _Frozen, score
 from .pairwise import (
     TieReport,
     hypothesis_holds,
@@ -54,8 +53,7 @@ class IdentityError(RuntimeError):
     """An exact identity failed; the message names the stage and both exact sides."""
 
 
-@dataclass(frozen=True)
-class RocReport:
+class RocReport(_Frozen):
     """Everything the evaluation produces for one dataset, exactly.
 
     Construction raises IdentityError on the first exact identity that fails.
@@ -70,8 +68,9 @@ class RocReport:
     n_neg: int
     balanced_integral: Rational
     right_integral: Rational
+    __slots__ = _fields = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name, ok, detail in _identities(self):
             if not ok:
                 raise IdentityError(f"RocReport: {name}: {detail}")

@@ -17,23 +17,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Dataset
+from .core import Dataset, _Frozen
 
 MAX_SAMPLES = 200_000  # draws per class; `contlab` at eps = 0.49 then takes about 10 s and 140 MB
 _TAIL = Fraction(0)  # the one score of every tail draw, below each center draw's 1 + |t|
 
 
-@dataclass(frozen=True)
-class LaplaceTieModel:
+class LaplaceTieModel(_Frozen):
     """Model parameter: half-width of the uniform center, in (0, 1/2)."""
 
     epsilon: float
+    __slots__ = _fields = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
 

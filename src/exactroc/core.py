@@ -15,7 +15,6 @@ from __future__ import annotations
 import numbers
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -74,6 +73,48 @@ def score(value: Score | int | str) -> Score:
     return Fraction(text)
 
 
+class _Frozen:
+    """Base of the read-only value classes: a class's annotated names are its `_fields`.
+
+    Each class stores them in `__slots__`. Construction binds them by position or keyword
+    (TypeError on a missing, extra or repeated one) and runs the class's `_check`. Fields
+    are read-only (AttributeError); ==, hash and repr are field-wise.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        rest = names[len(args):]
+        if kwargs and kwargs.keys() == set(rest):  # the fields after the positional ones
+            args, kwargs = (*args, *map(kwargs.get, rest)), {}
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes exactly the fields {names}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild through the constructor
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Frozen):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()  # the classes are compared too
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class CountTable(NamedTuple):
     """Distinct scores ascending; pos[k] positives and neg[k] negatives attain scores[k].
 
@@ -88,12 +129,11 @@ class CountTable(NamedTuple):
     neg_ge: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Frozen):
     """Finite observation set: the positive class's scores and the negative class's.
 
     The constructor takes each column as any iterable of Fractions, ints or score
-    text, and `__post_init__` stores it as the tuple of exact scores the fields are
+    text, and `_check` stores it as the tuple of exact scores the fields are
     typed as: every element goes through `score()`, which keeps a Fraction as the
     same object, reads ints and text exactly and raises TypeError on binary floating
     point. A column that is itself text (str or bytes) raises TypeError: iterating it
@@ -104,8 +144,10 @@ class Dataset:
 
     positives: tuple[Score, ...]
     negatives: tuple[Score, ...]
+    _fields = tuple(__annotations__)
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("positives", "negatives"):  # tuples hash, and no caller can grow them
             column = getattr(self, name)
             if isinstance(column, (str, bytes)):

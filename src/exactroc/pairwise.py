@@ -9,7 +9,6 @@ reported as first-class values. A shared score keeps its two integer counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -23,8 +22,7 @@ class SharedScore(NamedTuple):
     neg: int  # negatives at the score; ... neg / n_neg
 
 
-@dataclass(frozen=True)
-class TieReport:
+class TieReport(NamedTuple):
     """Cross-class tie inventory with the exact area/probability gap.
 
     correction = (1/2) * sum over shared scores of (pos / n_pos) * (neg / n_neg)

@@ -9,20 +9,19 @@ integer counts, and `points` is the one view of them as exact rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Dataset, Rational, Score
+from .core import Dataset, Rational, Score, _Frozen
 
 
-@dataclass(frozen=True)
-class RocCurve:
+class RocCurve(_Frozen):
     """Negatives and positives scoring >= each threshold: class sizes first, zeros last."""
 
     neg_ge: tuple[int, ...]
     pos_ge: tuple[int, ...]
+    __slots__ = _fields = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         f, t = self.neg_ge, self.pos_ge
         if len(f) != len(t) or not f or min(f[0], t[0]) <= 0 or (f[-1], t[-1]) != (0, 0):
             raise ValueError("count columns must be equally long, from (1,1) to (0,0)")

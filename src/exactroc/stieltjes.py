@@ -15,18 +15,16 @@ pointwise, as `StepFunction.left_limit`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from typing import Literal
 
-from .core import Dataset, Rational, Score
+from .core import Dataset, Rational, Score, _Frozen
 
 LimitVariant = Literal["right", "balanced"]
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(_Frozen):
     """Left-continuous, non-increasing piecewise-constant function.
 
     values[i] is the value on the open interval between breakpoints[i-1] and
@@ -38,8 +36,9 @@ class StepFunction:
 
     breakpoints: tuple[Score, ...]
     values: tuple[Rational, ...]
+    __slots__ = _fields = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if len(self.values) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one value per interval")
         if any(a >= b for a, b in zip(self.breakpoints, self.breakpoints[1:])):
@@ -61,13 +60,13 @@ class StepFunction:
         return (self.left_limit(x) + self.right_limit(x)) / 2
 
 
-@dataclass(frozen=True)
-class AtomicMeasure:
+class AtomicMeasure(_Frozen):
     """Finite positive measure: point masses at strictly increasing locations."""
 
     atoms: tuple[tuple[Score, Rational], ...]
+    __slots__ = _fields = tuple(__annotations__)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         locs = [a for a, _ in self.atoms]
         if any(x >= y for x, y in zip(locs, locs[1:])):
             raise ValueError("atom locations must be strictly increasing")

@@ -1,17 +1,24 @@
 """The package's public surface: what `exactroc` exports and what its docs import."""
 
 import ast
+import copy
 import importlib
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import exactroc
-from exactroc.cli import main
+from exactroc.cli import RocReport, main
+from exactroc.contlab import LaplaceTieModel
+from exactroc.core import Dataset
+from exactroc.pairwise import TieReport
+from exactroc.roc import RocCurve
+from exactroc.stieltjes import AtomicMeasure, StepFunction
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -131,3 +138,53 @@ def test_every_stage_the_benchmark_traces_resolves(monkeypatch):
     names = {*inproc.TRACED, *(qual for steps in inproc.STEPS.values() for qual in steps)}
     for qual in sorted(names):
         assert callable(inproc._lookup(qual)), qual
+
+
+REPORT_FIELDS = (
+    "auc", "pair_probability", "tie", "hypothesis_holds", "curve",
+    "n_pos", "n_neg", "balanced_integral", "right_integral",
+)
+
+
+def _fields_of(cls):
+    """Valid field values of each value class, in field order."""
+    r = exactroc.run_report(exactroc.parse_input("0.5,1\n0.9,1\n0.5,0\n0.1,0\n"))
+    half, one = Fraction(1, 2), Fraction(1)
+    return {
+        Dataset: {"positives": (half, Fraction(9, 10)), "negatives": (half, Fraction(1, 10))},
+        RocCurve: {"neg_ge": r.curve.neg_ge, "pos_ge": r.curve.pos_ge},
+        StepFunction: {"breakpoints": (one,), "values": (one, Fraction(0))},
+        AtomicMeasure: {"atoms": ((one, half),)},
+        TieReport: r.tie._asdict(),
+        RocReport: {name: getattr(r, name) for name in REPORT_FIELDS},
+        LaplaceTieModel: {"epsilon": 0.25},
+    }[cls]
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Dataset, RocCurve, StepFunction, AtomicMeasure, TieReport, RocReport, LaplaceTieModel],
+    ids=lambda cls: cls.__name__,
+)
+def test_value_class_constructor_contract(cls):
+    fields = _fields_of(cls)
+    items, values = list(fields.items()), list(fields.values())
+    (first, value), *_ = items
+    by_position, by_keyword = cls(*values), cls(**fields)
+    assert by_position == by_keyword == cls(value, **dict(items[1:]))
+    assert hash(by_position) == hash(by_keyword)
+    assert copy.deepcopy(by_position) == by_position
+    assert {name: getattr(by_keyword, name) for name in fields} == fields
+    for bad_args, bad_kwargs in [
+        (values[:-1], {}),  # a field missing
+        ((), dict(items[:-1])),
+        ((*values, value), {}),  # one too many
+        ((), {**fields, "extra": value}),
+        ((value,), fields),  # the first field twice
+    ]:
+        with pytest.raises(TypeError):
+            cls(*bad_args, **bad_kwargs)
+    with pytest.raises(AttributeError):
+        setattr(by_keyword, first, value)
+    text = repr(by_keyword)
+    assert text.startswith(f"{cls.__name__}(") and all(f"{name}=" in text for name in fields)

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -28,16 +27,26 @@ from exactroc import (
     roc_curve,
     run_report,
 )
-from exactroc.cli import emit_curve_svg, main
+from exactroc.cli import RocReport, emit_curve_svg, main
 from exactroc.contlab import MAX_SAMPLES, LaplaceTieModel, sample
 from exactroc.core import Dataset
+from exactroc.pairwise import TieReport
 from exactroc.roc import RocCurve
-from exactroc.stieltjes import AtomicMeasure
+from exactroc.stieltjes import AtomicMeasure, StepFunction
 from datagen import random_dataset
 
 COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
 DATA = Path(__file__).parent / "data"
 MIXED_CSV = "0.5,1\n0.9,1\n0.5,0\n0.1,0\n"
+REPORT_FIELDS = (
+    "auc", "pair_probability", "tie", "hypothesis_holds", "curve",
+    "n_pos", "n_neg", "balanced_integral", "right_integral",
+)
+
+
+def _report_with(r, **changes):
+    """A RocReport built through its constructor: `r`'s fields, with `changes` in place."""
+    return RocReport(**{**{name: getattr(r, name) for name in REPORT_FIELDS}, **changes})
 
 
 def test_parse_counterexample():
@@ -280,15 +289,15 @@ def test_run_report_disjoint():
 def test_report_construction_rejects_inconsistent_fields():
     r = run_report(parse_input(MIXED_CSV))
     with pytest.raises(IdentityError):
-        dataclasses.replace(r, pair_probability=Fraction(1, 2))
+        _report_with(r, pair_probability=Fraction(1, 2))
     with pytest.raises(IdentityError):
-        dataclasses.replace(r, hypothesis_holds=True)
+        _report_with(r, hypothesis_holds=True)
 
 
 def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
     r = run_report(parse_input(MIXED_CSV))
     with pytest.raises(IdentityError) as exc:
-        dataclasses.replace(r, tie=dataclasses.replace(r.tie, shared_scores=()))
+        _report_with(r, tie=TieReport((), r.tie.correction, r.tie.bound))
     assert str(exc.value) == (
         "RocReport: no cross-class tie iff area = pair probability: "
         "hypothesis False, shared 0, auc 7/8, pair 3/4"
@@ -313,12 +322,14 @@ def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
         ),
         (
             "tie_report",
-            lambda real: lambda d: dataclasses.replace(real(d), correction=Fraction(0)),
+            lambda real: lambda d: TieReport(real(d).shared_scores, Fraction(0), real(d).bound),
             "RocReport: area - pair probability = tie correction: 1/8 vs 0/1",
         ),
         (
             "tie_report",
-            lambda real: lambda d: dataclasses.replace(real(d), bound=real(d).correction / 2),
+            lambda real: lambda d: TieReport(
+                real(d).shared_scores, real(d).correction, real(d).correction / 2
+            ),
             "RocReport: 0 <= correction <= bound <= 1/2: correction 1/8, bound 1/16",
         ),
         (
@@ -751,7 +762,7 @@ def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
         ),
         (
             "tie_report",
-            lambda real: lambda d: dataclasses.replace(real(d), correction=Fraction(0)),
+            lambda real: lambda d: TieReport(real(d).shared_scores, Fraction(0), real(d).bound),
             {
                 3: "FAIL  area - pair probability = tie correction (1/8 vs 0/1)",
                 4: "ok    0 <= correction <= bound <= 1/2 (correction 0/1, bound 1/4)",
@@ -759,7 +770,9 @@ def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
         ),
         (
             "tie_report",
-            lambda real: lambda d: dataclasses.replace(real(d), bound=real(d).correction / 2),
+            lambda real: lambda d: TieReport(
+                real(d).shared_scores, real(d).correction, real(d).correction / 2
+            ),
             {4: "FAIL  0 <= correction <= bound <= 1/2 (correction 1/8, bound 1/16)"},
         ),
         (
@@ -807,7 +820,7 @@ def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
             # the positives' rate between 1/2 and 9/10 read as 1/4, not 1/2
             "rate_step_function",
             lambda real: lambda d, side: (
-                dataclasses.replace(real(d, side), values=(1, Fraction(1, 4), 0))
+                StepFunction(real(d, side).breakpoints, (1, Fraction(1, 4), 0))
                 if side == "positive"
                 else real(d, side)
             ),
@@ -1209,6 +1222,32 @@ def test_import_leaves_numpy_and_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _imported(*args):
+    """The modules a fresh `python -X importtime ARGS` imports, read from its import log."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    log = (line for line in proc.stderr.splitlines() if line.startswith("import time:"))
+    return {line.rsplit("|", 1)[1].strip() for line in log}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import exactroc"], ["-m", "exactroc", "check", "--input", str(DATA / "counterexample.csv")]],
+    ids=["import", "check"],
+)
+def test_cold_start_leaves_dataclasses_and_inspect_unloaded(args):
+    # measured against a bare interpreter, whose `site` imports vary from machine to machine
+    loaded = _imported(*args) - _imported("-c", "pass")
+    assert {"exactroc.core", "exactroc.cli"} <= loaded
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []
 
 
 def test_run_report_matches_dataset_built_directly():
