@@ -18,6 +18,7 @@ import csv
 import io
 import os
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -304,14 +305,17 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     merged = pair_probability_sorted(d)
     rows = _identities(e)
     rows.insert(2, _equal("fast pair count = sorted-merge pair count", e.pair_probability, merged))
-    # one image per value; scaled, not shifted, so 1e-20000 keeps a short numerator
-    image = {s.as_integer_ratio(): 7 * s / 5 for s in d.counts.scores}
-    scaled = Dataset(
-        *([image[s.as_integer_ratio()] for s in c] for c in (d.positives, d.negatives))
-    )
-    # every stage reads only the count columns, so equal columns give equal values
-    same = scaled.counts == d.counts._replace(scores=tuple(image.values()))
-    rows.append(("invariance under increasing affine score map", same, "map x -> 7x/5"))
+    t = d.counts  # re-derived from the raw columns, sharing none of Dataset.counts' code
+    wrong = [] if all(a < b for a, b in zip(t.scores, t.scores[1:])) else ["scores"]
+    columns = ("pos", d.positives, t.pos, t.pos_ge), ("neg", d.negatives, t.neg, t.neg_ge)
+    for name, column, per, ge in columns:
+        tally = Counter(map(Fraction.as_integer_ratio, column))  # no Fraction is hashed
+        if tuple(tally.pop(s.as_integer_ratio(), 0) for s in t.scores) != per or tally:
+            wrong.append(name)
+        if ge[:1] != (len(column),) or tuple(a - b for a, b in zip(ge, ge[1:])) != per:
+            wrong.append(f"{name}_ge")
+    detail = f"distinct scores {len(t.scores)}" + "".join(f", {c} disagrees" for c in wrong)
+    rows.append(("count table = tally of the raw columns", not wrong, detail))
     return rows
 
 

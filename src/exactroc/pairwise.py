@@ -39,16 +39,12 @@ class TieReport(NamedTuple):
 
 
 def pair_probability_bruteforce(d: Dataset) -> Rational:
-    """Count strictly concordant pairs by explicit double loop.
+    """Count strictly concordant pairs by explicit double loop over the raw observations.
 
-    Deliberately naive, and reads only the raw observations; this is the
-    oracle the count-table path is checked against.
+    Deliberately naive: the test suite's oracle for the count-table path. `check` never
+    runs it, since it makes n_pos * n_neg comparisons; its pair count is the sorted merge.
     """
-    wins = 0
-    for p in d.positives:
-        for q in d.negatives:
-            if p > q:
-                wins += 1
+    wins = sum(p > q for p in d.positives for q in d.negatives)
     return Fraction(wins, len(d.positives) * len(d.negatives))
 
 

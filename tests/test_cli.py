@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -502,10 +503,13 @@ def test_svg_rejects_tiny_width():
         emit_curve_svg(curve, 63)
 
 
-def test_identity_suite_all_pass_on_examples():
+def test_identity_suite_all_pass_on_examples(monkeypatch):
+    # the benchmark reads a `check` with another number of rows as incorrect
+    monkeypatch.syspath_prepend(str(DATA.parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
     for text in (COUNTEREXAMPLE_CSV, MIXED_CSV):
         rows = identity_suite(parse_input(text))
-        assert len(rows) == 7
+        assert len(rows) == workloads.CHECK_ROWS
         assert all(ok for _, ok, _ in rows)
 
 
@@ -726,7 +730,7 @@ CHECK_OK = {
         "ok    0 <= correction <= bound <= 1/2 (correction 1/8, bound 1/4)",
         "ok    no cross-class tie iff area = pair probability "
         "(hypothesis False, shared 1, auc 7/8, pair 3/4)",
-        "ok    invariance under increasing affine score map (map x -> 7x/5)",
+        "ok    count table = tally of the raw columns (distinct scores 3)",
     ],
     COUNTEREXAMPLE_CSV: [
         "ok    trapezoid area = balanced Stieltjes integral (1/2 vs 1/2)",
@@ -736,7 +740,7 @@ CHECK_OK = {
         "ok    0 <= correction <= bound <= 1/2 (correction 1/2, bound 1/2)",
         "ok    no cross-class tie iff area = pair probability "
         "(hypothesis False, shared 1, auc 1/2, pair 0/1)",
-        "ok    invariance under increasing affine score map (map x -> 7x/5)",
+        "ok    count table = tally of the raw columns (distinct scores 1)",
     ],
 }
 
@@ -873,7 +877,8 @@ def test_main_check_prints_fail_rows_instead_of_raising(
 def test_main_check_catches_a_corrupt_at_or_above_column(tmp_path, capsys, monkeypatch):
     # One wrong running count that still makes a valid curve. The curve, the fast pair
     # count and the tie correction all read the same table, so the rows comparing them
-    # with each other can pass; the sorted merge reads the raw columns and must fail.
+    # with each other can pass; the sorted merge and the tally read the raw columns and
+    # must fail.
     table = Dataset.counts.func
 
     def corrupt(d):
@@ -890,29 +895,83 @@ def test_main_check_catches_a_corrupt_at_or_above_column(tmp_path, capsys, monke
         2: "FAIL  fast pair count = sorted-merge pair count (1/2 vs 3/4)",
         5: "ok    no cross-class tie iff area = pair probability "
         "(hypothesis False, shared 1, auc 5/8, pair 1/2)",
+        6: "FAIL  count table = tally of the raw columns (distinct scores 3, pos_ge disagrees)",
     }
     lines = [changed.get(i, line) for i, line in enumerate(CHECK_OK[MIXED_CSV])]
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
     assert lines[3] == "ok    area - pair probability = tie correction (1/8 vs 1/8)"
 
 
-def test_main_check_catches_a_count_table_that_an_increasing_map_changes(
-    tmp_path, capsys, monkeypatch
+# Scores 1/10 (positives only) and 1/5 (negatives only) are adjacent, and 3/10 is shared.
+# Each fault below leaves a table that every stage's validator accepts, so `check` prints
+# all its rows instead of stopping at the first stage that raises.
+FAULT_CSV = "0.1,1\n0.1,1\n0.3,1\n0.9,1\n0.2,0\n0.2,0\n0.3,0\n0.5,0\n"
+
+
+@pytest.mark.parametrize(
+    ("fault", "detail"),
+    [
+        (
+            lambda t: t._replace(scores=(t.scores[1], t.scores[0], *t.scores[2:])),
+            "distinct scores 5, scores disagrees, pos disagrees, neg disagrees",
+        ),
+        (
+            lambda t: t._replace(pos=t.pos[::-1]),
+            "distinct scores 5, pos disagrees, pos_ge disagrees",
+        ),
+        (
+            lambda t: t._replace(neg=(0, 1, 2, 1, 0)),
+            "distinct scores 5, neg disagrees, neg_ge disagrees",
+        ),
+        (lambda t: t._replace(pos_ge=(4, 3, 2, 1, 1, 0)), "distinct scores 5, pos_ge disagrees"),
+        (lambda t: t._replace(pos_ge=(4, 2, 1, 1, 1, 0)), "distinct scores 5, pos_ge disagrees"),
+        (lambda t: t._replace(neg_ge=(4, 4, 3, 1, 0, 0)), "distinct scores 5, neg_ge disagrees"),
+        (lambda t: t._replace(neg_ge=(4, 3, 2, 1, 0, 0)), "distinct scores 5, neg_ge disagrees"),
+        (
+            # the top score and its one positive are left out, and the running counts agree
+            lambda t: t._replace(
+                scores=t.scores[:-1], pos=t.pos[:-1], neg=t.neg[:-1],
+                pos_ge=(3, 1, 1, 0, 0), neg_ge=t.neg_ge[:-1],
+            ),
+            "distinct scores 4, pos disagrees, pos_ge disagrees",
+        ),
+    ],
+    ids=[
+        "swap-scores", "reverse-pos", "move-neg", "pos_ge+1", "pos_ge-1", "neg_ge+1", "neg_ge-1",
+        "drop-top-positive",
+    ],
+)
+def test_main_check_certifies_each_count_table_column(
+    tmp_path, capsys, monkeypatch, fault, detail
 ):
-    # The images of MIXED_CSV's scores under x -> 7x/5 are 7/50, 7/10 and 63/50. A table
-    # that counts them in another order than their preimages fails only the affine row.
     table = Dataset.counts.func
 
-    def reordered_for_images(d):
+    def corrupt(d):
         t = table(d)
-        return t._replace(pos=t.pos[::-1]) if Fraction(7, 10) in t.scores else t
+        assert t[1:] == ((2, 0, 1, 0, 1), (0, 2, 1, 1, 0), (4, 2, 2, 1, 1, 0), (4, 4, 2, 1, 0, 0))
+        return fault(t)
 
-    monkeypatch.setattr(Dataset, "counts", property(reordered_for_images))
-    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    monkeypatch.setattr(Dataset, "counts", property(corrupt))
+    path = _write(tmp_path, "d.csv", FAULT_CSV)
     assert main(["check", "--input", path]) == 3
-    lines = CHECK_OK[MIXED_CSV][:-1]
-    lines.append("FAIL  invariance under increasing affine score map (map x -> 7x/5)")
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[6] == f"FAIL  count table = tally of the raw columns ({detail})"
+
+
+def test_main_check_builds_one_dataset(tmp_path, capsys, monkeypatch):
+    built = []
+    init = Dataset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "__init__", counting)
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    assert main(["check", "--input", path]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out == "\n".join(CHECK_OK[MIXED_CSV]) + "\n"
 
 
 def test_main_check_never_runs_the_quadratic_pair_count(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from exactroc import (
     roc_curve,
     tie_report,
 )
-from exactroc.cli import main
+from exactroc.cli import identity_suite, main
 from exactroc.pairwise import (
     hypothesis_holds,
     pair_probability_bruteforce,
@@ -88,6 +88,7 @@ def test_table_views_match_raw_observation_oracles(rs):
     wins = sum(p > q for p in pos_scores for q in neg_scores)
     assert auc_trapezoid(curve) == Fraction(2 * wins + ties, 2 * n_pos * n_neg)
     assert hypothesis_holds(d) == (not shared)
+    assert all(ok for _, ok, _ in identity_suite(d))
 
     probes = [s + Fraction(dx, 2 * DEN) for s in t.scores for dx in (-1, 0, 1)]
     for side, scores, rate_at in (
