@@ -18,7 +18,6 @@ import csv
 import io
 import os
 import sys
-from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
@@ -26,7 +25,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal, NoReturn
 
 from .contlab import LaplaceTieModel, jump_certificate, sample
-from .core import Dataset, DegenerateClassesError, Rational, _Frozen, score
+from .core import Dataset, DegenerateClassesError, Rational, Tally, _Frozen, score
 from .pairwise import (
     TieReport,
     hypothesis_holds,
@@ -95,20 +94,32 @@ def _evaluate(d: Dataset) -> SimpleNamespace:
     )
 
 
+# The names of the exact identities every evaluation satisfies, in `_identities`' order.
+_IDENTITIES = (
+    "trapezoid area = balanced Stieltjes integral",
+    "strict pair probability = right-limit Stieltjes integral",
+    "area - pair probability = tie correction",
+    "0 <= correction <= bound <= 1/2",
+    "no cross-class tie iff area = pair probability",
+)
+_MERGE_ROW = "fast pair count = sorted-merge pair count"  # `check`'s third row
+
+
 def _identities(r: RocReport | SimpleNamespace) -> list[tuple[str, bool, str]]:
     """The exact identities every evaluation satisfies; (name, passed, detail) rows."""
     auc, pair, tie = r.auc, r.pair_probability, r.tie
+    area, strict, gap, chain, no_tie = _IDENTITIES
     return [
-        _equal("trapezoid area = balanced Stieltjes integral", auc, r.balanced_integral),
-        _equal("strict pair probability = right-limit Stieltjes integral", pair, r.right_integral),
-        _equal("area - pair probability = tie correction", auc - pair, tie.correction),
+        _equal(area, auc, r.balanced_integral),
+        _equal(strict, pair, r.right_integral),
+        _equal(gap, auc - pair, tie.correction),
         (
-            "0 <= correction <= bound <= 1/2",
+            chain,
             0 <= tie.correction <= tie.bound <= Fraction(1, 2),
             f"correction {_frac(tie.correction)}, bound {_frac(tie.bound)}",
         ),
         (
-            "no cross-class tie iff area = pair probability",
+            no_tie,
             r.hypothesis_holds == (not tie.shared_scores) == (auc == pair),
             f"hypothesis {r.hypothesis_holds}, shared {len(tie.shared_scores)}, "
             f"auc {_frac(auc)}, pair {_frac(pair)}",
@@ -126,25 +137,28 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
 
     Scores are decimal text, read exactly. Labels accept 1/0, pos/neg, true/false
     (case-insensitive). A single leading header line is skipped when neither of its
-    fields makes sense as data. Each distinct field text is read once: a row whose two
-    fields both occurred in an earlier data row costs two dict lookups. Raises ParseError
-    with the offending line number, or DegenerateClassesError when only one class is present.
+    fields makes sense as data. Each distinct field text is read once, and each class
+    is kept as a tally of its raw score texts, so memory follows the distinct texts,
+    not the rows: a row whose score text, exactly as written, was already counted in
+    the class its label text names costs two dict lookups and one increment. The
+    dataset is built from the two tallies. Raises ParseError with the offending line
+    number, or DegenerateClassesError when only one class is present.
     """
     if fmt not in _DELIMITERS:
         raise ValueError(f"fmt must be 'csv' or 'tsv', not {fmt!r}")
     lines = io.StringIO(source) if isinstance(source, str) else source
-    positives: list[Fraction] = []
-    negatives: list[Fraction] = []
+    positives: dict[str, int] = {}  # raw score text -> rows of the class
+    negatives: dict[str, int] = {}
     scores: dict[str, Fraction] = {}  # raw and stripped texts; equal texts share one object
-    columns: dict[str, list[Fraction]] = {}  # raw label text -> its class's column
+    tallies: dict[str, dict[str, int]] = {}  # raw label text -> its class's tally
     reader = csv.reader(lines, delimiter=_DELIMITERS[fmt])
     first_data_row = True
     try:
         for row in reader:
-            if len(row) == 2:  # both fields seen in an accepted row: this row is accepted too
-                value, column = scores.get(row[0]), columns.get(row[1])
-                if value is not None and column is not None:
-                    column.append(value)
+            if len(row) == 2:  # a score text already counted in this label's class
+                tally = tallies.get(row[1])
+                if tally is not None and row[0] in tally:
+                    tally[row[0]] += 1
                     continue
             line = reader.line_num
             if not "".join(row).strip():
@@ -162,14 +176,15 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
                 raise ParseError(line, f"cannot read score {score_text!r}") from None
             if label is None:
                 raise ParseError(line, f"cannot read label {label_text!r}")
-            column = positives if label else negatives
-            column.append(value)
+            tally = positives if label else negatives
+            tally[row[0]] = tally.get(row[0], 0) + 1
             scores[row[0]] = scores[score_text] = value
-            columns[row[1]] = column
+            tallies[row[1]] = tally
             first_data_row = False
     except csv.Error as e:  # e.g. a field past csv.field_size_limit()
         raise ParseError(reader.line_num, str(e)) from None
-    return Dataset(positives, negatives)
+    counted = (Tally(tuple(map(scores.get, t)), tuple(t.values())) for t in (positives, negatives))
+    return Dataset(*counted)
 
 
 def run_report(d: Dataset) -> RocReport:
@@ -300,23 +315,47 @@ def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
 
 
 def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
-    """Run every exact identity on one dataset; (name, passed, detail) rows."""
-    e = _evaluate(d)
-    merged = pair_probability_sorted(d)
-    rows = _identities(e)
-    rows.insert(2, _equal("fast pair count = sorted-merge pair count", e.pair_probability, merged))
-    t = d.counts  # re-derived from the raw columns, sharing none of Dataset.counts' code
+    """Run every exact identity on one dataset; (name, passed, detail) rows.
+
+    The last row, built first, certifies the count table against the class tallies.
+    If a stage's validator refuses what it read from a table that row rejects, the
+    other rows have no value to compare and fail with the validator's message; a
+    certified table that a validator refuses is a bug in that stage, and raises.
+    """
+    table_row = _count_table_row(d)
+    try:
+        e = _evaluate(d)
+    except ValueError as error:
+        if table_row[1]:
+            raise
+        failed = f"not evaluated: {error}"
+        rows = [(name, False, failed) for name in _IDENTITIES]
+        rows.insert(2, (_MERGE_ROW, False, failed))
+    else:
+        rows = _identities(e)
+        rows.insert(2, _equal(_MERGE_ROW, e.pair_probability, pair_probability_sorted(d)))
+    return [*rows, table_row]
+
+
+def _count_table_row(d: Dataset) -> tuple[str, bool, str]:
+    """The count table against a tally of each class by integer ratio, column by column.
+
+    It shares no code with `Dataset.counts`: d-1 exact comparisons check the order,
+    and its own sums check the running counts. Its detail names each wrong column.
+    """
+    t = d.counts
     wrong = [] if all(a < b for a, b in zip(t.scores, t.scores[1:])) else ["scores"]
-    columns = ("pos", d.positives, t.pos, t.pos_ge), ("neg", d.negatives, t.neg, t.neg_ge)
-    for name, column, per, ge in columns:
-        tally = Counter(map(Fraction.as_integer_ratio, column))  # no Fraction is hashed
+    classes = ("pos", d.pos_tally, t.pos, t.pos_ge), ("neg", d.neg_tally, t.neg, t.neg_ge)
+    for name, (scores, mult), per, ge in classes:
+        tally: dict[tuple[int, int], int] = {}  # no Fraction is hashed
+        for ratio, c in zip(map(Fraction.as_integer_ratio, scores), mult):
+            tally[ratio] = tally.get(ratio, 0) + c
         if tuple(tally.pop(s.as_integer_ratio(), 0) for s in t.scores) != per or tally:
             wrong.append(name)
-        if ge[:1] != (len(column),) or tuple(a - b for a, b in zip(ge, ge[1:])) != per:
+        if ge[:1] != (sum(mult),) or tuple(a - b for a, b in zip(ge, ge[1:])) != per:
             wrong.append(f"{name}_ge")
     detail = f"distinct scores {len(t.scores)}" + "".join(f", {c} disagrees" for c in wrong)
-    rows.append(("count table = tally of the raw columns", not wrong, detail))
-    return rows
+    return "count table = tally of the raw columns", not wrong, detail
 
 
 def _load(args: argparse.Namespace) -> Dataset:

@@ -6,8 +6,9 @@ counts. `Dataset` is the one place outside values become exact scores: decimal
 text and ints are read exactly, and binary floating point is deliberately kept
 out of the data path because ties are decided by exact score equality.
 
-A dataset is its two class columns, positive scores and negative scores:
-every quantity is a function of the two samples, never of how they interleave.
+A dataset is its two classes, each a counting measure on exact scores (its
+distinct scores with their multiplicities): every quantity is a function of the
+two measures, never of how the rows were ordered or interleaved.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import itemgetter, sub
+from itertools import accumulate, chain, repeat
+from operator import index, itemgetter, sub
 from typing import Callable, Iterable, NamedTuple
 
 # Exact reduced fraction with positive denominator; equality is decidable.
@@ -129,45 +130,88 @@ class CountTable(NamedTuple):
     neg_ge: tuple[int, ...]
 
 
-class Dataset(_Frozen):
-    """Finite observation set: the positive class's scores and the negative class's.
+class Tally(NamedTuple):
+    """One class as a counting measure: mult[k] of its observations score scores[k].
 
-    The constructor takes each column as any iterable of Fractions, ints or score
-    text, and `_check` stores it as the tuple of exact scores the fields are
-    typed as: every element goes through `score()`, which keeps a Fraction as the
-    same object, reads ints and text exactly and raises TypeError on binary floating
-    point. A column that is itself text (str or bytes) raises TypeError: iterating it
-    would read each character as a score.
-    Duplicate scores are allowed and counted with multiplicity (the underlying
-    measure is counting measure). Both classes must be non-empty.
+    Every multiplicity is a positive int. The entries need not have distinct values:
+    `Dataset` keeps one per score object and `parse_input` one per raw score text, so
+    equal values spelled differently are separate entries, which the count table merges.
     """
 
-    positives: tuple[Score, ...]
-    negatives: tuple[Score, ...]
-    _fields = tuple(__annotations__)
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached properties
+    scores: tuple[Score, ...]
+    mult: tuple[int, ...]
 
-    def _check(self) -> None:
-        for name in ("positives", "negatives"):  # tuples hash, and no caller can grow them
-            column = getattr(self, name)
-            if isinstance(column, (str, bytes)):
+
+class Dataset(_Frozen):
+    """Finite observation set: each class is a counting measure on exact scores.
+
+    The constructor takes each class as any iterable of Fractions, ints or score
+    text, one element per observation, and stores it as a `Tally` of its distinct
+    score objects with their multiplicities: every element goes through `score()`,
+    which keeps a Fraction as the same object, reads ints and text exactly and raises
+    TypeError on binary floating point. A class that is itself text (str or bytes)
+    raises TypeError: iterating it would read each character as a score. A class may
+    also be given already counted, as a `Tally`; `parse_input` builds its classes so,
+    and never holds one entry per row. Both classes must be non-empty.
+
+    `positives` and `negatives` are views of the classes as rows, each score repeated
+    by its multiplicity in the tally's order; they are built on each read. Two datasets
+    are equal when their classes are equal measures: the same count table.
+    """
+
+    pos_tally: Tally
+    neg_tally: Tally
+    _fields = ("positives", "negatives")  # the constructor's arguments, read back as rows
+    __slots__ = (*__annotations__, "__dict__")  # the dict holds the cached properties
+
+    def __init__(self, positives: Iterable[Score | int | str] | Tally,
+                 negatives: Iterable[Score | int | str] | Tally) -> None:
+        for name, column in (("positives", positives), ("negatives", negatives)):
+            if isinstance(column, Tally):
+                scores, mult = tuple(map(score, column.scores)), tuple(map(index, column.mult))
+                if len(scores) != len(mult) or min(mult, default=1) < 1:
+                    raise ValueError(f"{name} must pair each score with a positive multiplicity")
+            elif isinstance(column, (str, bytes)):
                 kind = type(column).__name__
                 raise TypeError(f"{name} must be an iterable of scores, not {kind}")
-            object.__setattr__(self, name, tuple(map(score, column)))
-        if not self.positives and not self.negatives:
+            else:  # every pass over the rows runs in C: map, zip, dict and Counter
+                column = tuple(map(score, column))
+                scores = tuple(dict(zip(map(id, column), column)).values())
+                mult = tuple(Counter(map(id, column)).values())  # the same first-seen order
+            object.__setattr__(self, name[:3] + "_tally", Tally(scores, mult))
+        if not self.pos_tally.scores and not self.neg_tally.scores:
             raise DegenerateClassesError("dataset is empty")
-        if not self.positives:
+        if not self.pos_tally.scores:
             raise DegenerateClassesError("dataset has no positive observation")
-        if not self.negatives:
+        if not self.neg_tally.scores:
             raise DegenerateClassesError("dataset has no negative observation")
+
+    @property
+    def positives(self) -> tuple[Score, ...]:
+        return tuple(chain.from_iterable(map(repeat, *self.pos_tally)))
+
+    @property
+    def negatives(self) -> tuple[Score, ...]:
+        return tuple(chain.from_iterable(map(repeat, *self.neg_tally)))
+
+    def __reduce__(self) -> tuple:  # copy and pickle rebuild from the tallies, not the rows
+        return type(self), (self.pos_tally, self.neg_tally)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.counts[:3] == other.counts[:3]
+
+    def __hash__(self) -> int:
+        return hash(self.counts[:3])
 
     @cached_property
     def n_pos(self) -> int:
-        return len(self.positives)
+        return sum(self.pos_tally.mult)
 
     @cached_property
     def n_neg(self) -> int:
-        return len(self.negatives)
+        return sum(self.neg_tally.mult)
 
     def __len__(self) -> int:
         return self.n_pos + self.n_neg
@@ -176,17 +220,15 @@ class Dataset(_Frozen):
     def counts(self) -> CountTable:
         """The per-score class counts every exact quantity is computed from.
 
-        Each column is tallied per score object first, then the distinct objects merge
-        by integer ratio: a Fraction is reduced, so equal values have equal ratios.
+        The two tallies merge by integer ratio: a Fraction is reduced, so equal values
+        have equal ratios. O(d log d) for d tally entries, whatever the number of rows.
         """
         merged: dict[tuple[int, int], list] = {}
-        for column, k in ((self.positives, 1), (self.negatives, 2)):
-            objects = dict(zip(map(id, column), column))
-            for i, c in Counter(map(id, column)).items():
-                s = objects[i]
+        for (scores, mult), k in ((self.pos_tally, 1), (self.neg_tally, 2)):
+            for s, c in zip(scores, mult):
                 merged.setdefault(s.as_integer_ratio(), [s, 0, 0])[k] += c
         scores, pos, neg = zip(*sorted_exact(merged.values(), key=itemgetter(0)))
-        del merged, objects  # freed first, so the running counts reuse their memory
+        del merged  # freed first, so the running counts reuse its memory
         pos_ge = tuple(accumulate(pos, sub, initial=self.n_pos))
         neg_ge = tuple(accumulate(neg, sub, initial=self.n_neg))
         return CountTable(scores, pos, neg, pos_ge, neg_ge)

@@ -10,7 +10,7 @@ reported as first-class values. A shared score keeps its two integer counts.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .core import Dataset, Rational, Score, sorted_exact
@@ -39,38 +39,43 @@ class TieReport(NamedTuple):
 
 
 def pair_probability_bruteforce(d: Dataset) -> Rational:
-    """Count strictly concordant pairs by explicit double loop over the raw observations.
+    """Count strictly concordant pairs by explicit double loop over the two class tallies.
 
-    Deliberately naive: the test suite's oracle for the count-table path. `check` never
-    runs it, since it makes n_pos * n_neg comparisons; its pair count is the sorted merge.
+    Deliberately naive: the test suite's oracle for the count-table path. Each pair of
+    tally entries counts the product of their multiplicities. `check` never runs it,
+    since it makes one comparison per pair of entries; its pair count is the sorted merge.
     """
-    wins = sum(p > q for p in d.positives for q in d.negatives)
-    return Fraction(wins, len(d.positives) * len(d.negatives))
+    (ps, pm), (ns, nm) = d.pos_tally, d.neg_tally
+    wins = sum(a * b for p, a in zip(ps, pm) for q, b in zip(ns, nm) if p > q)
+    return Fraction(wins, d.n_pos * d.n_neg)
 
 
 def pair_probability_sorted(d: Dataset) -> Rational:
-    """Same value as the brute-force count, by merging the two sorted classes.
+    """Same value as the brute-force count, by merging the two sorted class tallies.
 
-    Reads only the raw observations, never the count table, so it is an
-    independent oracle that still runs in O(n log n) comparisons. Each class
-    is sorted on its own in exact order; then for each positive, ascending,
-    the pointer advances past every negative strictly below it, and the
-    pointer's position is that positive's number of wins.
+    Reads only the two tallies, never the count table, so it is an independent
+    oracle, and it runs in O(e log e) comparisons for e tally entries, whatever the
+    number of rows. Each tally is sorted on its own in exact order; then for each
+    positive entry, ascending, the pointer advances past every negative entry
+    strictly below it, and the negatives passed so far, times the entry's
+    multiplicity, are its wins.
     """
-    negatives, positives = sorted_exact(d.negatives), sorted_exact(d.positives)
-    wins = below = 0
-    for p in positives:
-        while below < len(negatives) and negatives[below] < p:
-            below += 1
-        wins += below
-    return Fraction(wins, len(d.positives) * len(negatives))
+    first = itemgetter(0)
+    negatives = sorted_exact(zip(*d.neg_tally), key=first)
+    wins = below = i = 0
+    for p, a in sorted_exact(zip(*d.pos_tally), key=first):
+        while i < len(negatives) and negatives[i][0] < p:
+            below += negatives[i][1]
+            i += 1
+        wins += a * below
+    return Fraction(wins, d.n_pos * d.n_neg)
 
 
 def pair_probability_fast(d: Dataset) -> Rational:
     """Same value as the brute-force count, from one pass over the count table.
 
     The negatives at each score lose to the positives at or above the next
-    score; ties add zero. O(n) plus O(d log d) for d distinct scores (the table).
+    score; ties add zero. O(d log d) for d distinct scores (the table), whatever the rows.
     """
     return Fraction(sum(map(mul, d.counts.neg, d.counts.pos_ge[1:])), d.n_pos * d.n_neg)
 

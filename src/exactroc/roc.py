@@ -39,13 +39,13 @@ class RocCurve(_Frozen):
 
 
 def tpr_at(d: Dataset, tau: Score) -> Rational:
-    """Fraction of positives with score >= tau; scans the raw observations."""
-    return Fraction(sum(1 for s in d.positives if s >= tau), len(d.positives))
+    """Fraction of positives with score >= tau; scans the positive tally, not the count table."""
+    return Fraction(sum(c for s, c in zip(*d.pos_tally) if s >= tau), d.n_pos)
 
 
 def fpr_at(d: Dataset, tau: Score) -> Rational:
-    """Fraction of negatives with score >= tau; scans the raw observations."""
-    return Fraction(sum(1 for s in d.negatives if s >= tau), len(d.negatives))
+    """Fraction of negatives with score >= tau; scans the negative tally, not the count table."""
+    return Fraction(sum(c for s, c in zip(*d.neg_tally) if s >= tau), d.n_neg)
 
 
 def roc_curve(d: Dataset) -> RocCurve:

@@ -590,24 +590,44 @@ def test_main_reads_stdin_for_a_dash(tmp_path, capsys, command):
         assert (tmp_path / "stdin.svg").read_bytes() == (tmp_path / "file.svg").read_bytes()
 
 
-def test_main_report_holds_neither_the_whole_input_nor_the_whole_output(tmp_path):
-    # 1e5 rows of 8 bytes on a 3-decimal grid: few distinct scores, so the peak is the
-    # class columns, a list and then its tuple at 8 bytes a row each. Holding the text
-    # whole (4 bytes a character in a StringIO) or the JSON as one string adds to it.
-    rng = random.Random(5)
-    path = tmp_path / "grid.csv"
+def _write_grid_rows(path, n, seed=5):
+    """n rows of `score,label` with scores on the 3-decimal grid 0.000..1.000."""
+    rng = random.Random(seed)
     with open(path, "w", encoding="utf-8") as fh:
-        for _ in range(100_000):
+        for _ in range(n):
             k = rng.randint(0, 1000)
             fh.write(f"{k // 1000}.{k % 1000:03d},{rng.randint(0, 1)}\n")
+    return str(path)
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak of main(argv), its stdout discarded."""
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            assert main(["report", "--input", str(path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 4 * path.stat().st_size
+
+
+def test_main_report_holds_neither_the_whole_input_nor_the_whole_output(tmp_path):
+    # 1e5 rows of 8 bytes on a 3-decimal grid: few distinct scores, so the class tallies
+    # are small. Holding the text whole (4 bytes a character in a StringIO) or the JSON as
+    # one string would put the peak past the bound.
+    path = _write_grid_rows(tmp_path / "grid.csv", 100_000)
+    assert _traced_peak(["report", "--input", path]) < 4 * os.path.getsize(path)
+
+
+@pytest.mark.parametrize("command", ["report", "check"])
+def test_main_memory_follows_distinct_scores_not_rows(tmp_path, command):
+    # Both files have the same 1001 distinct scores and 30x as many rows apart. Each class
+    # is a tally of its score texts, so nothing on the way holds one entry per row. A
+    # first run on a small file leaves out what the first call allocates once.
+    _traced_peak([command, "--input", _write_grid_rows(tmp_path / "warm.csv", 100)])
+    small = _traced_peak([command, "--input", _write_grid_rows(tmp_path / "small.csv", 10_000)])
+    large = _traced_peak([command, "--input", _write_grid_rows(tmp_path / "large.csv", 300_000)])
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_main_report_never_holds_the_whole_curve_as_fractions(tmp_path):
@@ -877,7 +897,7 @@ def test_main_check_prints_fail_rows_instead_of_raising(
 def test_main_check_catches_a_corrupt_at_or_above_column(tmp_path, capsys, monkeypatch):
     # One wrong running count that still makes a valid curve. The curve, the fast pair
     # count and the tie correction all read the same table, so the rows comparing them
-    # with each other can pass; the sorted merge and the tally read the raw columns and
+    # with each other can pass; the sorted merge and the tally read the class tallies and
     # must fail.
     table = Dataset.counts.func
 
@@ -957,6 +977,51 @@ def test_main_check_certifies_each_count_table_column(
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 7
     assert lines[6] == f"FAIL  count table = tally of the raw columns ({detail})"
+
+
+@pytest.mark.parametrize(
+    ("fault", "message", "detail"),
+    [
+        (
+            lambda t: t._replace(scores=(t.scores[1], t.scores[0], *t.scores[2:])),
+            "breakpoints must be strictly increasing",
+            "scores disagrees, pos disagrees",
+        ),
+        (lambda t: t._replace(pos=t.pos[::-1]), "values must strictly decrease",
+         "pos disagrees, pos_ge disagrees"),
+        (lambda t: t._replace(pos_ge=(2, 2, 2, 0)), "values must strictly decrease",
+         "pos_ge disagrees"),
+        (lambda t: t._replace(neg_ge=(2, 1, 1, 0)), "values must strictly decrease",
+         "neg_ge disagrees"),
+        (lambda t: t._replace(neg_ge=(2, 0, 0, 0)), "values must strictly decrease",
+         "neg_ge disagrees"),
+        (lambda t: t._replace(pos_ge=(2, 3, 1, 0)), "counts must be non-increasing along the sweep",
+         "pos_ge disagrees"),
+    ],
+    ids=["swap-scores", "reverse-pos", "pos_ge[2]+1", "neg_ge[2]+1", "neg_ge[1]-1", "pos_ge[1]+1"],
+)
+def test_main_check_names_the_wrong_column_when_a_stage_refuses_the_table(
+    tmp_path, capsys, monkeypatch, fault, message, detail
+):
+    # On MIXED_CSV each of these faults makes a StepFunction or RocCurve validator raise,
+    # so rows 1-6 have nothing to compare; the certificate row still names the column.
+    table = Dataset.counts.func
+
+    def corrupt(d):
+        t = table(d)
+        assert t[1:] == ((0, 1, 1), (1, 1, 0), (2, 2, 1, 0), (2, 1, 0, 0))
+        return fault(t)
+
+    monkeypatch.setattr(Dataset, "counts", property(corrupt))
+    path = _write(tmp_path, "d.csv", MIXED_CSV)
+    assert main(["check", "--input", path]) == 3
+    captured = capsys.readouterr()
+    names = [line[6:line.index(" (")] for line in CHECK_OK[MIXED_CSV]]
+    assert captured.out.splitlines() == [
+        *(f"FAIL  {name} (not evaluated: {message})" for name in names[:6]),
+        f"FAIL  {names[6]} (distinct scores 3, {detail})",
+    ]
+    assert captured.err == "7 identity check(s) failed\n"
 
 
 def test_main_check_builds_one_dataset(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import numbers
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exactroc import Dataset, DegenerateClassesError, dataset_from_pairs, run_report
-from exactroc.core import MAX_EXPONENT, score
+from exactroc.core import MAX_EXPONENT, Tally, score
 from datagen import random_dataset
 
 
@@ -113,6 +114,28 @@ def test_dataset_keeps_its_own_tuple_of_each_column():
     assert d.n_pos == len(d.positives) == 1
     assert (d.positives, d.negatives) == ((Fraction(1),), (Fraction(0),))
     assert hash(d) == hash(Dataset((Fraction(1),), (Fraction(0),)))
+
+
+def test_dataset_stores_each_class_as_a_tally_of_its_score_objects():
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+    d = Dataset([half, Fraction(9, 10), half, half], [tenth, "1/2"])
+    assert d.pos_tally == Tally((half, Fraction(9, 10)), (3, 1))
+    assert d.pos_tally.scores[0] is half
+    assert (d.n_pos, d.n_neg) == (4, 2)
+    assert d.positives == (half, half, half, Fraction(9, 10))  # grouped in first-seen order
+    # a class may be given counted; equal measures make equal datasets, in any row order
+    counted = Dataset(Tally((Fraction(9, 10), half), (1, 3)), Tally(("0.1", half), (1, 1)))
+    assert counted == d and hash(counted) == hash(d)
+    assert pickle.loads(pickle.dumps(counted)).neg_tally == Tally((tenth, half), (1, 1))
+    assert counted == Dataset(["0.9", "0.5", "1/2", "0.50"], ["1/2", "0.1"])
+    assert counted != Dataset(["0.9", "0.5", "1/2"], ["1/2", "0.1"])
+    for bad in (Tally((half,), (1, 1)), Tally((half,), (0,)), Tally((half, tenth), (2, -1))):
+        with pytest.raises(ValueError, match="^negatives must pair each score with a positive"):
+            Dataset([half], bad)
+    with pytest.raises(TypeError):
+        Dataset([half], Tally((half,), (1.0,)))
+    with pytest.raises(DegenerateClassesError, match="^dataset has no positive observation$"):
+        Dataset(Tally((), ()), [half])
 
 
 def test_dataset_reads_its_columns_through_score():

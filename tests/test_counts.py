@@ -1,4 +1,4 @@
-"""The per-score count table against oracles that read the raw observations.
+"""The per-score count table against oracles that read the class tallies or the rows.
 
 Scores are written in several spellings of one value ("0.5", "0.50", "1/2",
 "50e-2", "10/20"), so the table must group observations by exact value, not
@@ -6,6 +6,7 @@ by text or by object.
 """
 
 import json
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from exactroc import (
     roc_curve,
     tie_report,
 )
-from exactroc.cli import identity_suite, main
+from exactroc.cli import emit_report, identity_suite, main, run_report
+from exactroc.core import Tally
 from exactroc.pairwise import (
     hypothesis_holds,
     pair_probability_bruteforce,
@@ -62,7 +64,8 @@ def test_table_views_match_raw_observation_oracles(rs):
     pos_scores = [Fraction(k, DEN) for k, _, pos in rs if pos]
     neg_scores = [Fraction(k, DEN) for k, _, pos in rs if not pos]
     n_pos, n_neg = len(pos_scores), len(neg_scores)
-    assert (d.positives, d.negatives) == (tuple(pos_scores), tuple(neg_scores))
+    # the row views group equal texts, so only the multisets of rows are pinned
+    assert (sorted(d.positives), sorted(d.negatives)) == (sorted(pos_scores), sorted(neg_scores))
     assert dataset_from_pairs((spellings(k)[i], pos) for k, i, pos in rs) == d
 
     t = d.counts
@@ -139,3 +142,55 @@ def test_scores_past_the_float_range_keep_their_exact_order(tmp_path, capsys):
 def test_sorted_merge_oracle_where_float_order_is_not_exact_order(pos, neg):
     d = Dataset(pos, neg)
     assert pair_probability_sorted(d) == pair_probability_bruteforce(d)
+
+
+# One value under several spellings, next to a few others, so rows tie within a class,
+# across the classes, and across spellings of one value.
+TALLY_TEXTS = ("0.5", "1/2", "50e-2", "0", "1", "0.25", "-3/4")
+tally_rows = st.lists(
+    st.tuples(st.sampled_from(TALLY_TEXTS), st.booleans()), min_size=2, max_size=40
+).filter(lambda rs: len({pos for _, pos in rs}) == 2)
+
+
+def _outputs(d):
+    """Everything `report` and `check` print for d, as text."""
+    r = run_report(d)
+    rows = "".join(f"{ok} {name} ({detail})\n" for name, ok, detail in identity_suite(d))
+    return emit_report(r, "json"), emit_report(r, "text"), rows
+
+
+@given(tally_rows, st.integers(0, 2**32))
+@settings(max_examples=200)
+def test_the_tally_is_the_rows(rs, seed):
+    shuffled = rs[:]
+    random.Random(seed).shuffle(shuffled)
+    shared = {s: Fraction(s) for s in TALLY_TEXTS}  # one object per text: the tally groups them
+    built = [
+        Dataset([shared[s] for s, pos in rs if pos], [shared[s] for s, pos in rs if not pos]),
+        dataset_from_pairs(shuffled),
+        parse_input("".join(f"{s},{int(pos)}\n" for s, pos in rs)),
+    ]
+    assert _outputs(built[0]) == _outputs(built[1]) == _outputs(built[2])
+    assert built[0] == built[1] == built[2]
+
+    # the references expand every row and never read a tally
+    pos = [Fraction(s) for s, p in rs if p]
+    neg = [Fraction(s) for s, p in rs if not p]
+    wins = Fraction(sum(p > q for p in pos for q in neg), len(pos) * len(neg))
+    for d in built:
+        assert (d.n_pos, d.n_neg) == (len(pos), len(neg))
+        assert sum(d.pos_tally.mult) == len(pos) and sum(d.neg_tally.mult) == len(neg)
+        assert (sorted(d.positives), sorted(d.negatives)) == (sorted(pos), sorted(neg))
+        assert pair_probability_bruteforce(d) == pair_probability_sorted(d) == wins
+        for tau in map(Fraction, ("-1", "-3/4", "0", "1/8", "1/4", "1/2", "3/4", "1", "2")):
+            assert tpr_at(d, tau) == Fraction(sum(s >= tau for s in pos), len(pos))
+            assert fpr_at(d, tau) == Fraction(sum(s >= tau for s in neg), len(neg))
+
+
+def test_parse_input_keeps_one_tally_entry_per_score_text():
+    d = parse_input("0.5,1\n1/2,1\n0.5,1\n0.5,0\n 0.5,0\n0.1,0\n")
+    assert d.pos_tally == Tally((Fraction(1, 2), Fraction(1, 2)), (2, 1))
+    assert d.neg_tally == Tally((Fraction(1, 2), Fraction(1, 2), Fraction(1, 10)), (1, 1, 1))
+    # " 0.5" and "0.5" share one score object; the count table merges all four entries
+    assert d.neg_tally.scores[0] is d.neg_tally.scores[1]
+    assert d.counts[:3] == ((Fraction(1, 10), Fraction(1, 2)), (0, 3), (1, 2))
