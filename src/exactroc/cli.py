@@ -378,22 +378,31 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_contlab(args: argparse.Namespace) -> int:
-    try:
-        model = LaplaceTieModel(args.epsilon)
-        drawn = sample(model, args.samples, args.seed)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+def _contlab_lines(model: LaplaceTieModel, drawn: Dataset) -> list[str]:
+    """One epsilon's 10 lines: the model's floats, then the sample's exact values."""
     cert = jump_certificate(model)
     r = run_report(drawn)  # every identity row is checked on the sample; a failure exits 3
     floats = dict(
-        epsilon=args.epsilon, beta_star=model.beta_star, fpr_below_jump=cert.x_minus_approx,
+        epsilon=model.epsilon, beta_star=model.beta_star, fpr_below_jump=cert.x_minus_approx,
         fpr_above_jump=cert.x_plus_approx, model_area=model.area,
         model_pair_prob=model.pair_probability, model_gap=model.gap)
     exact = dict(auc=r.auc, pair_probability=r.pair_probability, tie_correction=r.tie.correction)
-    sys.stdout.writelines(f"{name:<17}{x:.17g}\n" for name, x in floats.items())
-    sys.stdout.writelines(f"{name:<17}{_frac(q)} = {_dec17(q)}\n" for name, q in exact.items())
+    return [*(f"{name:<17}{x:.17g}\n" for name, x in floats.items()),
+            *(f"{name:<17}{_frac(q)} = {_dec17(q)}\n" for name, q in exact.items())]
+
+
+def _cmd_contlab(args: argparse.Namespace) -> int:
+    try:  # every epsilon, and with the first draw --samples and --seed, before any output
+        models = [LaplaceTieModel(eps) for eps in args.epsilon]
+        drawn = sample(models[0], args.samples, args.seed)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    for i, model in enumerate(models):
+        if i:
+            drawn = sample(model, args.samples, args.seed)
+        sys.stdout.writelines(_contlab_lines(model, drawn))
+        del drawn  # so only one sample is held while the next is drawn
     return 0
 
 
@@ -452,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont = sub.add_parser(
         "contlab", help="continuous Laplace example: ROC jump certificate and area check"
     )
-    p_cont.add_argument("--epsilon", type=float, default=0.25)
+    p_cont.add_argument("--epsilon", type=float, nargs="+", default=[0.25])
     p_cont.add_argument("--samples", type=int, default=20_000)
     p_cont.add_argument("--seed", type=int, default=0)
     p_cont.set_defaults(func=_cmd_contlab)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import index, itemgetter, sub
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 # Exact reduced fraction with positive denominator; equality is decidable.
 Rational = Fraction
@@ -155,8 +155,9 @@ class Dataset(_Frozen):
     and never holds one entry per row. Both classes must be non-empty.
 
     `positives` and `negatives` are views of the classes as rows, each score repeated
-    by its multiplicity in the tally's order; they are built on each read. Two datasets
-    are equal when their classes are equal measures: the same count table.
+    by its multiplicity in the tally's order; they are built on each read, so the repr
+    shows the tallies instead. Two datasets are equal when their classes are equal
+    measures: the same count table.
     """
 
     pos_tally: Tally
@@ -197,6 +198,10 @@ class Dataset(_Frozen):
     def __reduce__(self) -> tuple:  # copy and pickle rebuild from the tallies, not the rows
         return type(self), (self.pos_tally, self.neg_tally)
 
+    def __repr__(self) -> str:  # the tallies, not the rows, which may be far more numerous
+        pos, neg = self.pos_tally, self.neg_tally
+        return f"{type(self).__qualname__}(positives={pos!r}, negatives={neg!r})"
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -227,22 +232,22 @@ class Dataset(_Frozen):
         for (scores, mult), k in ((self.pos_tally, 1), (self.neg_tally, 2)):
             for s, c in zip(scores, mult):
                 merged.setdefault(s.as_integer_ratio(), [s, 0, 0])[k] += c
-        scores, pos, neg = zip(*sorted_exact(merged.values(), key=itemgetter(0)))
+        scores, pos, neg = zip(*sorted_exact(merged.values()))
         del merged  # freed first, so the running counts reuse its memory
         pos_ge = tuple(accumulate(pos, sub, initial=self.n_pos))
         neg_ge = tuple(accumulate(neg, sub, initial=self.n_neg))
         return CountTable(scores, pos, neg, pos_ge, neg_ge)
 
 
-def sorted_exact(items: Iterable, key: Callable | None = None) -> list:
-    """`sorted(items, key=key)`, where `key` of an item (or the item) is an exact score."""
-    items = list(items)
+def sorted_exact(pairs: Iterable[tuple]) -> list:
+    """`pairs` as a list sorted by their first elements, each an exact score."""
+    pairs = list(pairs)
     try:  # a cheap presort by float leaves the exact sort little to reorder
-        items.sort(key=float if key is None else lambda item: float(key(item)))
+        pairs.sort(key=lambda pair: float(pair[0]))
     except OverflowError:
         pass
-    items.sort(key=key)
-    return items
+    pairs.sort(key=itemgetter(0))
+    return pairs
 
 
 def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Dataset:

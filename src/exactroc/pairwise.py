@@ -10,7 +10,7 @@ reported as first-class values. A shared score keeps its two integer counts.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .core import Dataset, Rational, Score, sorted_exact
@@ -60,10 +60,9 @@ def pair_probability_sorted(d: Dataset) -> Rational:
     strictly below it, and the negatives passed so far, times the entry's
     multiplicity, are its wins.
     """
-    first = itemgetter(0)
-    negatives = sorted_exact(zip(*d.neg_tally), key=first)
+    negatives = sorted_exact(zip(*d.neg_tally))
     wins = below = i = 0
-    for p, a in sorted_exact(zip(*d.pos_tally), key=first):
+    for p, a in sorted_exact(zip(*d.pos_tally)):
         while i < len(negatives) and negatives[i][0] < p:
             below += negatives[i][1]
             i += 1

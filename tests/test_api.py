@@ -96,8 +96,6 @@ def test_readme_examples_and_tie_sweep_run():
     [
         ("tie_sweep.py", ["--datasets", "0"], "argument --datasets: must be at least 1, got 0"),
         ("tie_sweep.py", ["--max-size", "1"], "argument --max-size: must be at least 2, got 1"),
-        ("contlab_sweep.py", ["--samples", "0"], "samples must lie in [1, 200000], got 0"),
-        ("contlab_sweep.py", ["--epsilons", "0.7"], "epsilon must lie in (0, 1/2), got 0.7"),
         ("tie_sweep.py", ["--seed", "-1"], "argument --seed: must be non-negative, got -1"),
     ],
 )
@@ -110,7 +108,7 @@ def test_scripts_reject_bad_arguments_with_a_usage_error(name, args, message):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("name", ["tie_sweep.py", "contlab_sweep.py"])
+@pytest.mark.parametrize("name", ["tie_sweep.py"])
 def test_script_usage_line_lists_the_flags_the_parser_takes(name):
     source = (ROOT / "scripts" / name).read_text(encoding="utf-8")
     (usage,) = re.findall(r"^Usage: .*$", source, re.M)

@@ -1315,6 +1315,25 @@ def test_main_contlab_certifies_the_jump_next_to_the_upper_end_of_epsilon(capsys
     assert "fpr_below_jump   1\n" in capsys.readouterr().out
 
 
+def test_main_contlab_prints_each_epsilon_as_its_own_run(capsys):
+    def run(*epsilons):
+        assert main(["contlab", "--epsilon", *epsilons, "--samples", "1000", "--seed", "1"]) == 0
+        return capsys.readouterr().out
+
+    assert run("0.25", "0.4") == run("0.25") + run("0.4")
+
+
+def test_main_contlab_labels_each_epsilon_apart(capsys):
+    assert main(["contlab", "--epsilon", "0.001", "0.004", "--samples", "1000"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [float(row[1]) for row in rows if row[0] == "epsilon"] == [0.001, 0.004]
+
+
+def test_main_contlab_checks_every_epsilon_before_any_output(capsys):
+    assert main(["contlab", "--epsilon", "0.1", "0.7"]) == 1
+    assert capsys.readouterr() == ("", "error: epsilon must lie in (0, 1/2), got 0.7\n")
+
+
 def test_main_contlab_bad_epsilon_exits_1(capsys):
     assert main(["contlab", "--epsilon", "0.9"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,14 +1,10 @@
 import math
-import os
-import subprocess
-import sys
 from functools import cache
-from pathlib import Path
 
 import pytest
 
-import exactroc
 from exactroc import run_report
+from exactroc.cli import main
 from exactroc.contlab import (
     LaplaceTieModel,
     exact_score,
@@ -124,23 +120,13 @@ def test_jump_certificate_brackets_the_discontinuity(eps):
     )
 
 
-def run_sweep_script(*args):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "contlab_sweep.py"
-    env = {**os.environ, "PYTHONPATH": str(Path(exactroc.__file__).parents[1])}
-    argv = [sys.executable, str(script), "--samples", "1000", *args]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return [line.split() for line in proc.stdout.splitlines()[2:]]
-
-
-def test_sweep_script_runs_next_to_the_upper_end_of_epsilon():
-    rows = run_sweep_script("--epsilons", "0.4999999999")
-    assert rows[0][:3] == ["0.4999999999", "0.606531", "0.606531"]
-
-
-def test_sweep_script_labels_each_epsilon_apart():
-    rows = run_sweep_script("--epsilons", "0.001", "0.004")
-    assert [row[0] for row in rows[:2]] == ["0.001", "0.004"]
+def test_sweep_script_runs_next_to_the_upper_end_of_epsilon(capsys):
+    # the sweep is `exactroc contlab --epsilon E [E ...]`; beta_star is ~3.3e-10 here
+    assert main(["contlab", "--epsilon", "0.4999999999", "--samples", "1000"]) == 0
+    value = {row[0]: float(row[-1]) for row in map(str.split, capsys.readouterr().out.splitlines())}
+    assert value["epsilon"] == 0.4999999999  # printed to 17 digits, so it reads back exactly
+    jump = value["fpr_below_jump"] - value["fpr_above_jump"]
+    assert jump == pytest.approx(math.exp(-0.4999999999), abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", SAMPLE_EPSILONS)

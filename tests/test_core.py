@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exactroc import Dataset, DegenerateClassesError, dataset_from_pairs, run_report
-from exactroc.core import MAX_EXPONENT, Tally, score
+from exactroc.core import MAX_EXPONENT, Tally, score, sorted_exact
 from datagen import random_dataset
 
 
@@ -114,6 +114,23 @@ def test_dataset_keeps_its_own_tuple_of_each_column():
     assert d.n_pos == len(d.positives) == 1
     assert (d.positives, d.negatives) == ((Fraction(1),), (Fraction(0),))
     assert hash(d) == hash(Dataset((Fraction(1),), (Fraction(0),)))
+
+
+def test_sorted_exact_orders_pairs_by_their_first_element_exactly():
+    # 1 + 2**-60 and 1 round to the same float; 10**400 overflows one, so only the exact
+    # sort runs; equal first elements keep their order, and the second never decides
+    near, big = 1 + Fraction(1, 2**60), Fraction(10**400)
+    pairs = [(near, "a"), (Fraction(1), "z"), (big, 0), (Fraction(1), "b")]
+    assert sorted_exact(iter(pairs)) == [pairs[1], pairs[3], pairs[0], pairs[2]]
+    assert sorted_exact(pairs[:2]) == [pairs[1], pairs[0]]
+
+
+def test_dataset_repr_shows_the_tallies_not_the_rows():
+    half, tenth = Fraction(1, 2), Fraction(1, 10)
+    d = Dataset(Tally((half, tenth), (10**5, 1)), Tally((tenth,), (10**5,)))
+    text = repr(d)
+    assert len(text) < 200
+    assert eval(text, {"Dataset": Dataset, "Tally": Tally, "Fraction": Fraction}) == d
 
 
 def test_dataset_stores_each_class_as_a_tally_of_its_score_objects():
