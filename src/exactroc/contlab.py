@@ -69,18 +69,11 @@ class JumpCertificate(NamedTuple):
     x_plus_approx: float
 
 
-def likelihood_ratio(m: LaplaceTieModel, t: float) -> float:
-    """Positive-to-negative density ratio at t."""
-    if abs(t) < m.epsilon:
-        return 2.0 * math.exp(abs(t))
-    return m.beta_star
-
-
 def exact_score(m: LaplaceTieModel, t: float) -> Fraction:
-    """An exact score in the order of `likelihood_ratio(m, t)`, ties included.
+    """An exact score in the order of the likelihood ratio at t, ties included.
 
-    A tail draw (|t| >= eps, the same test) scores 0 and a center draw 1 + |t|, exact
-    from the float: the ratio is flat on the tails, and above that, increasing in |t|.
+    A tail draw (|t| >= eps) scores 0 and a center draw 1 + |t|, exact from the float:
+    the ratio is beta_star on the tails, and above that, 2*e^|t| on the center.
     """
     return _TAIL if abs(t) >= m.epsilon else 1 + Fraction(abs(t))
 

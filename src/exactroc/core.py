@@ -134,8 +134,9 @@ class Tally(NamedTuple):
     """One class as a counting measure: mult[k] of its observations score scores[k].
 
     Every multiplicity is a positive int. The entries need not have distinct values:
-    `Dataset` keeps one per score object and `parse_input` one per raw score text, so
-    equal values spelled differently are separate entries, which the count table merges.
+    `Dataset` keeps one per score object, and `parse_input` one per distinct raw line
+    (per distinct row for a quoted record that spans lines), so equal values written
+    differently are separate entries, which the count table merges.
     """
 
     scores: tuple[Score, ...]
@@ -152,7 +153,8 @@ class Dataset(_Frozen):
     TypeError on binary floating point. A class that is itself text (str or bytes)
     raises TypeError: iterating it would read each character as a score. A class may
     also be given already counted, as a `Tally`; `parse_input` builds its classes so,
-    and never holds one entry per row. Both classes must be non-empty.
+    one entry per distinct raw line, and never holds one entry per row. Both classes
+    must be non-empty.
 
     `positives` and `negatives` are views of the classes as rows, each score repeated
     by its multiplicity in the tally's order; they are built on each read, so the repr

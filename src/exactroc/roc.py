@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Dataset, Rational, Score, _Frozen
+from .core import Dataset, Rational, _Frozen
 
 
 class RocCurve(_Frozen):
@@ -36,16 +36,6 @@ class RocCurve(_Frozen):
         """The vertices as exact (fpr, tpr) rates, built afresh on each read."""
         f, t = self.neg_ge, self.pos_ge
         return tuple((Fraction(a, f[0]), Fraction(b, t[0])) for a, b in zip(f, t))
-
-
-def tpr_at(d: Dataset, tau: Score) -> Rational:
-    """Fraction of positives with score >= tau; scans the positive tally, not the count table."""
-    return Fraction(sum(c for s, c in zip(*d.pos_tally) if s >= tau), d.n_pos)
-
-
-def fpr_at(d: Dataset, tau: Score) -> Rational:
-    """Fraction of negatives with score >= tau; scans the negative tally, not the count table."""
-    return Fraction(sum(c for s, c in zip(*d.neg_tally) if s >= tau), d.n_neg)
 
 
 def roc_curve(d: Dataset) -> RocCurve:

@@ -79,7 +79,7 @@ def rate_step_function(d: Dataset, side: Literal["positive", "negative"]) -> Ste
 
     Breakpoints are exactly the scores attained by that class; the function
     is 1 left of all of them and 0 right of all of them, and agrees pointwise
-    with tpr_at / fpr_at.
+    with the tally scans tpr_at / fpr_at of tests/oracles.py.
     """
     if side not in ("positive", "negative"):
         raise ValueError(f"side must be 'positive' or 'negative', not {side!r}")

@@ -28,6 +28,7 @@ from exactroc import (
     roc_curve,
     run_report,
 )
+import exactroc.cli as cli_module
 from exactroc.cli import RocReport, emit_curve_svg, main
 from exactroc.contlab import MAX_SAMPLES, LaplaceTieModel, sample
 from exactroc.core import Dataset
@@ -262,6 +263,97 @@ def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
     assert sorted(calls) == sorted(["0.5", "0.50", "1/2", "0.25", "-3", "1e-3", "7/20"])
     halves = parse_input(' 0.5,1\n"0.5",0\n0.5,1\n0.5 ,0\n')
     assert len({id(s) for s in halves.positives + halves.negatives}) == 1
+    # Without the quoted spelling, chunks are counted as raw lines; one quoted row in the
+    # middle sends its own chunk row by row. Each stripped text is still read once.
+    unquoted = [s for s in spellings if '"' not in s]
+    rows = [f"{rng.choice(unquoted)},{rng.choice(labels)}\n" for _ in range(10_000)]
+    rows[5_000] = '"0.5",1\n'
+    for size in (7, 1024):
+        monkeypatch.setattr(cli_module, "_CHUNK_LINES", size)
+        calls.clear()
+        assert len(parse_input("".join(rows))) == 10_000
+        assert sorted(calls) == sorted(["0.5", "0.50", "1/2", "0.25", "-3", "1e-3", "7/20"])
+
+
+CHUNK_SIZES = [1, 2, 3, 1024]
+CHUNK_ROWS = [
+    "score,label",
+    '"score","label"',
+    '"0.5\n",0',  # its first line starts a record of MEMO_ODD_ROWS with the other label
+    '0.25,"\n1"',
+    "0.5\x00,1",  # a NUL byte: csv.Error before Python 3.11, an unreadable score after
+    "1" * (csv.field_size_limit() + 1) + ",0",  # csv.Error: field larger than field limit
+]
+
+
+@given(
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.tuples(st.sampled_from(MEMO_SCORES), st.sampled_from(MEMO_LABELS)).map(",".join),
+                st.sampled_from(MEMO_ODD_ROWS + CHUNK_ROWS),
+            ),
+            st.sampled_from(["\n", "\r\n"]),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_parse_input_chunks_change_nothing(header, rows):
+    # Quoted records that span two lines straddle chunk ends; a header may recur anywhere.
+    text = ("score,label\n" if header else "") + "".join(row + end for row, end in rows)
+    expected = _outcome(_parse_row_by_row, text)
+    with pytest.MonkeyPatch.context() as patch:
+        for size in CHUNK_SIZES:
+            patch.setattr(cli_module, "_CHUNK_LINES", size)
+            for source in (text, io.StringIO(text), iter(text.splitlines(keepends=True))):
+                assert _outcome(parse_input, source) == expected, (size, type(source))
+
+
+def test_parse_input_reads_only_a_quoted_header_chunk_row_by_row(monkeypatch):
+    # R's write.csv quotes the header; the rows after it hold no quote.
+    rows = "".join(f"0.{k % 1000:03d},{k % 3 % 2}\n" for k in range(3_000))
+    starts = []
+    read_rows = cli_module._ParseState.read_rows
+
+    def spy(self, chunk, rest, done):
+        starts.append(done)
+        return read_rows(self, chunk, rest, done)
+
+    monkeypatch.setattr(cli_module._ParseState, "read_rows", spy)
+    quoted = parse_input('"score","label"\n' + rows)
+    assert starts == [0]  # the header's chunk alone went row by row
+    twin = parse_input("score,label\n" + rows)
+    assert starts == [0]  # and no chunk of the unquoted twin
+    # a row read from one line is counted as that line, on either path
+    assert (quoted.pos_tally, quoted.neg_tally) == (twin.pos_tally, twin.neg_tally)
+
+
+GRID_LINES = [f"{k // 1000}.{k % 1000:03d},{c}\n".encode() for k in range(1001) for c in (0, 1)]
+
+
+def _hightie_lines(n, seed=5):
+    """A header, then n rows on the 3-decimal grid 0.000..1.000, each a fresh str."""
+    rng = random.Random(seed)
+    yield "score,label\n"
+    for _ in range(n):
+        yield GRID_LINES[rng.randrange(len(GRID_LINES))].decode()
+
+
+def test_parse_input_memory_follows_the_chunk_not_the_rows():
+    # The lines come from a generator, so nothing holds the input: what parse_input holds
+    # is one chunk of lines and a count of the 2002 possible lines, whatever the rows.
+    parse_input(_hightie_lines(5_000))  # leaves out what the first call allocates once
+    peaks = []
+    for n in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            assert len(parse_input(_hightie_lines(n))) == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2**20 and max(peaks) <= 1.1 * min(peaks), peaks
 
 
 def test_run_report_counterexample():

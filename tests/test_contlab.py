@@ -9,10 +9,10 @@ from exactroc.contlab import (
     LaplaceTieModel,
     exact_score,
     jump_certificate,
-    likelihood_ratio,
     rates_of_threshold,
     sample,
 )
+from oracles import likelihood_ratio
 
 EPSILONS = [0.1, 0.25, 0.4]
 # the ends of (0, 1/2): almost every pair tied, and almost none

@@ -30,8 +30,8 @@ from exactroc.pairwise import (
     pair_probability_bruteforce,
     pair_probability_sorted,
 )
-from exactroc.roc import fpr_at, tpr_at
 from exactroc.stieltjes import rate_step_function
+from oracles import fpr_at, tpr_at
 
 DEN = 20  # every value k/20 has a terminating decimal expansion
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from exactroc import Dataset, auc_trapezoid, roc_curve
 from exactroc.pairwise import pair_probability_bruteforce
-from exactroc.roc import fpr_at, tpr_at
 from exactroc.stieltjes import (
     AtomicMeasure,
     StepFunction,
@@ -16,6 +15,7 @@ from exactroc.stieltjes import (
     rate_step_function,
 )
 from datagen import random_dataset
+from oracles import fpr_at, tpr_at
 
 C = Fraction(7, 20)
 
