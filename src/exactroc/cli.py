@@ -18,6 +18,7 @@ import csv
 import io
 import os
 import sys
+from bisect import bisect_left
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -27,7 +28,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal, NoReturn
 
 from .contlab import LaplaceTieModel, jump_certificate, sample
-from .core import Dataset, DegenerateClassesError, Rational, Tally, _Frozen, score
+from .core import Dataset, DegenerateClassesError, Rational, Score, Tally, _Frozen, read_score
 from .pairwise import (
     TieReport,
     hypothesis_holds,
@@ -138,7 +139,8 @@ def _equal(name: str, a: Rational, b: Rational) -> tuple[str, bool, str]:
 def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
     """Parse `score,label` records from text or lines (an open file is read in chunks).
 
-    Scores are decimal text, read exactly. Labels accept 1/0, pos/neg, true/false
+    Scores are decimal text, read exactly by `core.read_score`: as a Decimal, or as a
+    Fraction for `a/b` text; the two compare exactly. Labels accept 1/0, pos/neg, true/false
     (case-insensitive). A single leading header line is skipped when neither of its
     fields makes sense as data. Lines are read `_CHUNK_LINES` at a time. A chunk with no
     quote is added to one count of raw lines, in C, and only the lines new to that count
@@ -173,7 +175,7 @@ class _ParseState:
         # the same from read_rows, in a plain dict: a Counter's item assignment is slower
         self.rows: dict[str | tuple[str, ...], int] = {}
         self.classes: tuple[dict, dict] = {}, {}  # negatives, positives: a data key -> score
-        self.scores: dict[str, Fraction] = {}  # stripped score text -> its value, read once
+        self.scores: dict[str, Score] = {}  # stripped score text -> its value, read once
         self.first_data_row = True
         self.header: str | None = None  # the header's raw line, if a chunk's pass read it
 
@@ -187,7 +189,7 @@ class _ParseState:
         label = _LABELS.get(label_text.lower())
         scores = self.scores
         try:
-            value = scores[score_text] if score_text in scores else score(score_text)
+            value = scores[score_text] if score_text in scores else read_score(score_text)
         except (ValueError, ZeroDivisionError):
             if self.first_data_row and label is None:
                 self.first_data_row = False
@@ -258,10 +260,11 @@ def run_report(d: Dataset) -> RocReport:
     return RocReport(**vars(_evaluate(d)))
 
 
-def _frac(num: int | Rational, den: int = 1) -> str:
+def _frac(num: int | Score, den: int = 1) -> str:
     """num / den in lowest terms, as text; num is a count or an exact value, den > 0."""
-    g = gcd(num.numerator, den)  # num's own terms are already coprime
-    num, den = num.numerator, num.denominator * den
+    num, d = num.as_integer_ratio()  # coprime already
+    g = gcd(num, den)
+    den *= d
     try:
         return f"{num // g}/{den // g}"
     except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
@@ -404,19 +407,30 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
 
 
 def _count_table_row(d: Dataset) -> tuple[str, bool, str]:
-    """The count table against a tally of each class by integer ratio, column by column.
+    """The count table against a tally of each class by value, column by column.
 
     It shares no code with `Dataset.counts`: d-1 exact comparisons check the order,
     and its own sums check the running counts. Its detail names each wrong column.
     """
     t = d.counts
     wrong = [] if all(a < b for a, b in zip(t.scores, t.scores[1:])) else ["scores"]
+    # A score finds its table row by value: a Decimal hashed in C, a Fraction by its integer
+    # ratio, so no Fraction is hashed. One whose row holds the other type (`0.35` and `7/20`
+    # in one file) is found by bisection; one with no row counts in the extra last slot.
+    def key(s: Score) -> object:
+        return s if isinstance(s, Decimal) else s.as_integer_ratio()
+
+    row_of = {key(s): k for k, s in enumerate(t.scores)}
     classes = ("pos", d.pos_tally, t.pos, t.pos_ge), ("neg", d.neg_tally, t.neg, t.neg_ge)
     for name, (scores, mult), per, ge in classes:
-        tally: dict[tuple[int, int], int] = {}  # no Fraction is hashed
-        for ratio, c in zip(map(Fraction.as_integer_ratio, scores), mult):
-            tally[ratio] = tally.get(ratio, 0) + c
-        if tuple(tally.pop(s.as_integer_ratio(), 0) for s in t.scores) != per or tally:
+        tally = [0] * (len(t.scores) + 1)
+        for s, c in zip(scores, mult):
+            k = row_of.get(key(s))
+            if k is None:
+                k = bisect_left(t.scores, s)
+                k = k if k < len(t.scores) and t.scores[k] == s else -1
+            tally[k] += c
+        if tuple(tally) != (*per, 0):
             wrong.append(name)
         if ge[:1] != (sum(mult),) or tuple(a - b for a, b in zip(ge, ge[1:])) != per:
             wrong.append(f"{name}_ge")

@@ -1,10 +1,12 @@
 """Exact arithmetic and the dataset model.
 
-Scores are `fractions.Fraction`s and counts are ints: every quantity
-downstream (rates, areas, pair probabilities, tie terms) is a ratio of integer
-counts. `Dataset` is the one place outside values become exact scores: decimal
-text and ints are read exactly, and binary floating point is deliberately kept
-out of the data path because ties are decided by exact score equality.
+Scores are `fractions.Fraction`s, or finite `decimal.Decimal`s, which `read_score`
+makes of a file's decimal text and which are read, hashed and compared in C. Only their
+order and exact equality matter, and the two types compare exactly with each other.
+Counts are ints: every quantity downstream (rates, areas, pair probabilities, tie terms)
+is a ratio of integer counts. `Dataset` is the one place outside values become exact
+scores: decimal text and ints are read exactly, and binary floating point is
+deliberately kept out of the data path because ties are decided by exact score equality.
 
 A dataset is its two classes, each a counting measure on exact scores (its
 distinct scores with their multiplicities): every quantity is a function of the
@@ -15,7 +17,9 @@ from __future__ import annotations
 
 import numbers
 import re
+import sys
 from collections import Counter
+from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -25,13 +29,23 @@ from typing import Iterable, NamedTuple
 # Exact reduced fraction with positive denominator; equality is decidable.
 Rational = Fraction
 
-# Classifier output. Only the total order on scores matters; values are not
-# restricted to [0, 1].
-Score = Fraction
+# Classifier output. Only the total order on scores and exact equality matter; values
+# are not restricted to [0, 1]. Arithmetic mixing the two types needs Fraction(s).
+Score = Fraction | Decimal
 
 # Largest decimal exponent magnitude a score may have. Fraction("1e-20000") takes
 # 0.5 ms; Fraction("1e-99999999999") would build 10**99999999999 and never finish.
 MAX_EXPONENT = 20_000
+
+# Largest place of a Decimal score's leading digit, in magnitude, which bounds its integer
+# ratio: the exponent cap plus the default int-to-str limit of 4,300 digits, as read_score's.
+_MAX_PLACE = MAX_EXPONENT + 4_300
+
+# Reads decimal text exactly: Decimal() ignores the precision, and malformed text raises.
+_EXACT = Context(traps=[InvalidOperation])
+
+# The interpreter's int-to-str digit limit, which int() and so Fraction apply to text.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # added in 3.10.7
 
 
 class DegenerateClassesError(ValueError):
@@ -41,13 +55,20 @@ class DegenerateClassesError(ValueError):
 def score(value: Score | int | str) -> Score:
     """Convert decimal text (or an exact number) to an exact score.
 
-    Accepts Fraction, int, or strings such as "0.35", "-2", "1e-3", "7/20"; any
-    other value (a Decimal, a numpy integer) is read through its text. Binary
-    floating point is rejected with TypeError: a float, or any real number type
-    that is not rational (numpy.float32), has already been rounded to binary and
-    can silently create or destroy ties. Text with an exponent beyond
-    MAX_EXPONENT in magnitude is rejected with ValueError before any arithmetic.
+    Accepts Fraction, Decimal, int, or strings such as "0.35", "-2", "1e-3", "7/20",
+    which it reads as a Fraction; any other value (a numpy integer) is read through its
+    text. A Fraction or a Decimal is kept as the same object. A Decimal must be finite,
+    with the place of its leading digit within 24,300 of the point (`_MAX_PLACE`), or it
+    raises ValueError before any arithmetic. Binary floating point is rejected with
+    TypeError: a float, or any real number type that is not rational (numpy.float32),
+    has already been rounded to binary and can silently create or destroy ties. Text
+    with an exponent beyond MAX_EXPONENT in magnitude is rejected with ValueError
+    before any arithmetic.
     """
+    if isinstance(value, Decimal):  # first: isinstance of a Decimal with Fraction, an ABC, is slow
+        if value.is_finite() and -_MAX_PLACE <= value.adjusted() <= _MAX_PLACE:
+            return value
+        raise ValueError(f"{value!r} is not finite with its leading digit within 10**{_MAX_PLACE}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -61,17 +82,54 @@ def score(value: Score | int | str) -> Score:
         )
     else:
         text = str(value)
-    if "_" in text and not re.search(r"(?<!\d)_|_(?!\d)", text):
-        text = text.replace("_", "")  # digit separators, which Fraction reads only from 3.11 on
-    _, e, exponent = text.replace("E", "e").rpartition("e")
-    if e:
+    return Fraction(_plain(text))
+
+
+def read_score(text: str) -> Score:
+    """Read score text exactly: decimal text as a Decimal, `a/b` text as a Fraction.
+
+    It accepts the text `score` accepts, with an equal value, and raises ValueError or
+    ZeroDivisionError where `score` does, so Decimal's extras are refused: misplaced digit
+    separators, "NaN" and "Infinity", and more digits before or after the point than the
+    int-to-str limit (raised past 4,300, also a value past `score`'s Decimal bound).
+    A Decimal is read in C, where a Fraction's text goes through a regular expression.
+    """
+    if "/" in text:
+        return score(text)
+    text = _plain(text)
+    try:
+        value = Decimal(text, _EXACT)
+    except InvalidOperation:
+        raise ValueError(f"cannot read {text!r} as an exact score") from None
+    limit = _max_str_digits()
+    if limit and len(text) > limit:  # Decimal has no digit limit; int(), so Fraction, has
+        mantissa, _, _ = text.strip().lower().partition("e")
+        if max(map(len, mantissa.lstrip("+-").split("."))) > limit:
+            raise ValueError(f"{text[:20]!r}... has more than {limit} digits in one part")
+    return score(value)  # finite, and within the place bound
+
+
+def _plain(text: str) -> str:
+    """Score text without its digit separators, or ValueError before any arithmetic.
+
+    A separator must sit between two digits, as Fraction wants it from Python 3.11 on;
+    Decimal would drop it anywhere. An exponent must be an int within MAX_EXPONENT in
+    magnitude.
+    """
+    plain = text
+    if "_" in text:
+        if re.search(r"(?<!\d)_|_(?!\d)", text):
+            raise ValueError(f"misplaced digit separator in {text!r}")
+        plain = text.replace("_", "")
+    if "e" in plain or "E" in plain:
+        _, _, exponent = plain.replace("E", "e").rpartition("e")
         try:
             magnitude = abs(int(exponent))  # int() reads any Unicode digits
         except ValueError:
-            magnitude = 0  # not an exponent: Fraction rejects the whole text below
+            raise ValueError(f"cannot read the exponent of {text!r}") from None
         if magnitude > MAX_EXPONENT:
-            raise ValueError(f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude")
-    return Fraction(text)
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
+    return plain
 
 
 class _Frozen:
@@ -136,7 +194,9 @@ class Tally(NamedTuple):
     Every multiplicity is a positive int. The entries need not have distinct values:
     `Dataset` keeps one per score object, and `parse_input` one per distinct raw line
     (per distinct row for a quoted record that spans lines), so equal values written
-    differently are separate entries, which the count table merges.
+    differently are separate entries, which the count table merges. `parse_input`'s
+    scores are Decimals, and Fractions for `a/b` text; a row class's are Fractions
+    unless it was given Decimals.
     """
 
     scores: tuple[Score, ...]
@@ -146,11 +206,11 @@ class Tally(NamedTuple):
 class Dataset(_Frozen):
     """Finite observation set: each class is a counting measure on exact scores.
 
-    The constructor takes each class as any iterable of Fractions, ints or score
-    text, one element per observation, and stores it as a `Tally` of its distinct
+    The constructor takes each class as any iterable of Fractions, Decimals, ints or
+    score text, one element per observation, and stores it as a `Tally` of its distinct
     score objects with their multiplicities: every element goes through `score()`,
-    which keeps a Fraction as the same object, reads ints and text exactly and raises
-    TypeError on binary floating point. A class that is itself text (str or bytes)
+    which keeps a Fraction or a Decimal as the same object, reads ints and text exactly
+    as Fractions and raises TypeError on binary floating point. A class that is itself text (str or bytes)
     raises TypeError: iterating it would read each character as a score. A class may
     also be given already counted, as a `Tally`; `parse_input` builds its classes so,
     one entry per distinct raw line, and never holds one entry per row. Both classes
@@ -227,15 +287,22 @@ class Dataset(_Frozen):
     def counts(self) -> CountTable:
         """The per-score class counts every exact quantity is computed from.
 
-        The two tallies merge by integer ratio: a Fraction is reduced, so equal values
-        have equal ratios. O(d log d) for d tally entries, whatever the number of rows.
+        The two tallies merge by value. A Decimal is its own key, hashed in C; a Fraction's
+        key is its integer ratio, equal for equal values since a Fraction is reduced, so no
+        Fraction is hashed. A Decimal and an equal Fraction meet once sorted, as neighbours.
+        O(d log d) for d tally entries, whatever the number of rows.
         """
-        merged: dict[tuple[int, int], list] = {}
+        merged: dict[object, list] = {}
         for (scores, mult), k in ((self.pos_tally, 1), (self.neg_tally, 2)):
             for s, c in zip(scores, mult):
-                merged.setdefault(s.as_integer_ratio(), [s, 0, 0])[k] += c
-        scores, pos, neg = zip(*sorted_exact(merged.values()))
+                key = s if isinstance(s, Decimal) else s.as_integer_ratio()
+                merged.setdefault(key, [s, 0, 0])[k] += c
+        rows = sorted_exact(merged.values())
+        if len(set(map(type, merged))) > 1:  # both kinds of key
+            rows = _merge_equal(rows)
         del merged  # freed first, so the running counts reuse its memory
+        scores, pos, neg = zip(*rows)
+        del rows
         pos_ge = tuple(accumulate(pos, sub, initial=self.n_pos))
         neg_ge = tuple(accumulate(neg, sub, initial=self.n_neg))
         return CountTable(scores, pos, neg, pos_ge, neg_ge)
@@ -250,6 +317,18 @@ def sorted_exact(pairs: Iterable[tuple]) -> list:
         pass
     pairs.sort(key=itemgetter(0))
     return pairs
+
+
+def _merge_equal(rows: list[list]) -> list[list]:
+    """Sorted [score, pos, neg] rows with each run of equal scores summed into its first."""
+    kept = rows[:1]
+    for row in rows[1:]:
+        if row[0] == kept[-1][0]:
+            kept[-1][1] += row[1]
+            kept[-1][2] += row[2]
+        else:
+            kept.append(row)
+    return kept
 
 
 def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Dataset:

@@ -8,15 +8,15 @@ function against an atomic measure is a finite sum. Which value of the
 integrand is used at the atoms is an explicit parameter with two choices:
 the balanced (midpoint) value reproduces the trapezoidal area, the right
 limit reproduces the strict pair probability, and the two agree whenever no
-atom sits on a jump of the integrand. The left limit stays available
-pointwise, as `StepFunction.left_limit`.
+atom sits on a jump of the integrand. Breakpoints and atom locations are
+scores, so the walk compares them in C when they are Decimals.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import compress
+from operator import sub
 from typing import Literal
 
 from .core import Dataset, Rational, Score, _Frozen
@@ -45,19 +45,6 @@ class StepFunction(_Frozen):
             raise ValueError("breakpoints must be strictly increasing")
         if any(a <= b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values must strictly decrease")
-
-    def left_limit(self, x: Score) -> Rational:
-        """Also the stored (left-continuous) value at x, hence `__call__`."""
-        return self.values[bisect_left(self.breakpoints, x)]
-
-    __call__ = left_limit
-
-    def right_limit(self, x: Score) -> Rational:
-        return self.values[bisect_right(self.breakpoints, x)]
-
-    def balanced(self, x: Score) -> Rational:
-        """(left + right)/2; differs from the stored value only on jumps."""
-        return (self.left_limit(x) + self.right_limit(x)) / 2
 
 
 class AtomicMeasure(_Frozen):
@@ -95,12 +82,14 @@ def negative_differential(g: StepFunction) -> AtomicMeasure:
     """Atomic measure of -g: one atom per jump, weight = jump height.
 
     Total mass equals g's leftmost value minus its rightmost value (1 for a
-    rate function).
+    rate function). Equal jumps share one weight object, found by its integer
+    ratio, so no Fraction is hashed: a rate function whose scores are nearly
+    all distinct has few distinct jumps, and its measure holds few Fractions.
     """
-    atoms = tuple(
-        (b, g.values[i] - g.values[i + 1]) for i, b in enumerate(g.breakpoints)
-    )
-    return AtomicMeasure(atoms=atoms)
+    shared: dict[tuple[int, int], Rational] = {}
+    jumps = map(sub, g.values, g.values[1:])
+    weights = (shared.setdefault(w.as_integer_ratio(), w) for w in jumps)
+    return AtomicMeasure(atoms=tuple(zip(g.breakpoints, weights)))
 
 
 def integrate(variant: LimitVariant, g: StepFunction, m: AtomicMeasure) -> Rational:
@@ -109,7 +98,7 @@ def integrate(variant: LimitVariant, g: StepFunction, m: AtomicMeasure) -> Ratio
     Atoms and breakpoints both ascend, so one forward walk finds each atom's
     place among the breakpoints: `i` is where `bisect_left` would put the
     atom, and the atom sits on a jump iff breakpoints[i] equals it. The terms
-    are those of the pointwise `right_limit` and `balanced`.
+    are those of the pointwise `right_limit` and `balanced` of tests/oracles.py.
     """
     if variant not in ("right", "balanced"):
         raise ValueError(f"variant must be 'right' or 'balanced', not {variant!r}")

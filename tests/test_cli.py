@@ -245,13 +245,13 @@ def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
     import exactroc.cli as cli_module
 
     calls = []
-    score = cli_module.score
+    score = cli_module.read_score
 
     def counting_score(text):
         calls.append(text)
         return score(text)
 
-    monkeypatch.setattr(cli_module, "score", counting_score)
+    monkeypatch.setattr(cli_module, "read_score", counting_score)
     rng = random.Random(0)
     spellings = [
         "0.5", " 0.5", '"0.5"', "0.5 ", "0.50", "1/2", "0.25", " 0.25", "-3", "1e-3", "7/20"

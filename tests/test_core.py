@@ -1,15 +1,17 @@
+import contextlib
 import numbers
 import pickle
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactroc import Dataset, DegenerateClassesError, dataset_from_pairs, run_report
-from exactroc.core import MAX_EXPONENT, Tally, score, sorted_exact
+from exactroc.core import MAX_EXPONENT, Tally, read_score, score, sorted_exact
 from datagen import random_dataset
 
 
@@ -205,3 +207,125 @@ def test_score_order_trichotomy(seed):
     scores = d.positives + d.negatives
     a, b = rng.choice(scores), rng.choice(scores)
     assert sum([a < b, a == b, a > b]) == 1
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """The interpreter's int-to-str digit limit set to `limit` inside; absent before 3.10.7."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    before = get()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+LIMIT = 640  # the lowest digit limit the interpreter takes, so long runs stay cheap
+DIGITS = st.sampled_from("0123456789") | st.sampled_from("\u0663\u0667\u09eb\uff10")  # Unicode Nd
+LONG_RUNS = [
+    run for n in (LIMIT - 1, LIMIT, LIMIT + 1) for run in ("1" * n, "0" * (n - 1) + "7")
+]
+RUNS = st.text(DIGITS, max_size=5) | st.sampled_from(LONG_RUNS)
+EXPONENTS = st.integers(0, 30).map(str) | st.sampled_from(
+    ["19999", "20000", "20001", "020000", "99999999999", "\u0662\u0660\u0660\u0660\u0661",
+     "0" * LIMIT + "5", "0" * (LIMIT - 2) + "5"]
+)
+NON_FINITE = ["NaN", "nan", "sNaN", "snan", "NaN12", "inf", "Inf", "-inf", "Infinity", "infinity"]
+SPACE = st.sampled_from(["", " ", "\t", "\n", "\u2003", "\xa0"])
+
+
+@st.composite
+def score_texts(draw):
+    """Score text as written in files, good and bad: decimals, ratios and what neither is."""
+    kind = draw(st.sampled_from(["decimal", "ratio", "non-finite", "junk"]))
+    if kind == "non-finite":
+        body = draw(st.sampled_from(NON_FINITE))
+    elif kind == "junk":
+        body = draw(st.text(st.sampled_from("0123456789._eE+-/ nNaIif\u0663"), max_size=10))
+    elif kind == "ratio":
+        body = draw(RUNS) + "/" + draw(RUNS)
+    else:
+        body = draw(RUNS)
+        if draw(st.booleans()):
+            body += "." + draw(RUNS)
+        if draw(st.booleans()):
+            body += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+            body += draw(EXPONENTS)
+    text = draw(st.sampled_from(["", "+", "-"])) + body
+    for place in draw(st.lists(st.integers(0, len(text)), max_size=3)):  # separators anywhere
+        text = text[:place] + "_" + text[place:]
+    return draw(SPACE) + text + draw(SPACE)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e)
+
+
+TRAPS = [  # Decimal reads each of these, unlike Fraction, or reads it differently
+    "1__0", "_1", "1_", "1_000", " 2.5e+1_0 ", "inf", "NaN", "sNaN", "-Infinity",
+    "1" * (LIMIT + 1), "0." + "0" * LIMIT + "1", "1e" + "0" * LIMIT + "1",
+    f"1e-{MAX_EXPONENT}", f"1e-{MAX_EXPONENT + 1}", "7/20", "1/0", "-0", "0e-20000",
+    "\u0663.\u0667e\u0663",
+]
+
+
+def _with_traps(test):
+    for text in TRAPS:
+        test = example(text)(test)
+    return test
+
+
+@given(score_texts())
+@settings(max_examples=600)
+@_with_traps
+def test_read_score_agrees_with_the_fraction_reader(text):
+    with int_digit_limit(LIMIT):
+        want, got = _outcome(score, text), _outcome(read_score, text)
+        if isinstance(want, type):  # refused, with the same exception
+            assert got is want
+        else:
+            assert got == want and type(got) is (Fraction if "/" in text else Decimal)
+        if sys.version_info >= (3, 11):  # Fraction reads digit separators itself: score is it
+            if not isinstance(want, type):
+                assert Fraction(text) == want
+            elif "e" not in text.lower():  # past the cap, Fraction(text) might never finish
+                assert _outcome(Fraction, text) is want
+
+
+def test_score_keeps_every_decimal_read_score_returns():
+    # a written exponent up to MAX_EXPONENT, and 4,300 digits before and after the point
+    texts = [
+        f"{'9' * 4300}.{'9' * 4300}e{MAX_EXPONENT}",
+        f"-0.{'0' * 4299}1e-{MAX_EXPONENT}",
+        f"{'0' * 4299}1.{'0' * 4300}e-{MAX_EXPONENT}",
+        f"0.{'0' * 4300}e-{MAX_EXPONENT}",
+    ]
+    with int_digit_limit(4300):
+        for text in texts:
+            value = read_score(text)
+            assert isinstance(value, Decimal) and score(value) is value
+            assert Dataset([value], ["0"]).pos_tally.scores[0] is value
+
+
+class NoRatio(Decimal):
+    """A Decimal whose integer ratio must never be asked for."""
+
+    def as_integer_ratio(self):
+        raise AssertionError("as_integer_ratio ran")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e-999999999", "1e999999999", f"1e-{MAX_EXPONENT + 4301}", "NaN", "sNaN", "-Infinity"]
+)
+def test_score_refuses_a_decimal_past_its_bound_before_any_ratio(text):
+    with pytest.raises(ValueError, match="is not finite with its leading digit within 10"):
+        score(NoRatio(text))
+    with pytest.raises(ValueError):
+        Dataset([Decimal(text)], ["0"])

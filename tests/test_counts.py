@@ -31,7 +31,7 @@ from exactroc.pairwise import (
     pair_probability_sorted,
 )
 from exactroc.stieltjes import rate_step_function
-from oracles import fpr_at, tpr_at
+from oracles import fpr_at, left_limit, right_limit, tpr_at
 
 DEN = 20  # every value k/20 has a terminating decimal expansion
 
@@ -93,15 +93,15 @@ def test_table_views_match_raw_observation_oracles(rs):
     assert hypothesis_holds(d) == (not shared)
     assert all(ok for _, ok, _ in identity_suite(d))
 
-    probes = [s + Fraction(dx, 2 * DEN) for s in t.scores for dx in (-1, 0, 1)]
+    probes = [Fraction(s) + Fraction(dx, 2 * DEN) for s in t.scores for dx in (-1, 0, 1)]
     for side, scores, rate_at in (
         ("positive", pos_scores, tpr_at),
         ("negative", neg_scores, fpr_at),
     ):
         g = rate_step_function(d, side)
         for x in probes:
-            assert g.left_limit(x) == rate_at(d, x)
-            assert g.right_limit(x) == Fraction(sum(s > x for s in scores), len(scores))
+            assert left_limit(g, x) == rate_at(d, x)
+            assert right_limit(g, x) == Fraction(sum(s > x for s in scores), len(scores))
 
 
 def test_scores_past_the_float_range_keep_their_exact_order(tmp_path, capsys):
@@ -194,3 +194,26 @@ def test_parse_input_keeps_one_tally_entry_per_score_text():
     # " 0.5" and "0.5" share one score object; the count table merges all four entries
     assert d.neg_tally.scores[0] is d.neg_tally.scores[1]
     assert d.counts[:3] == ((Fraction(1, 10), Fraction(1, 2)), (0, 3), (1, 2))
+
+
+# Mixed spellings of one value (0.35, 7/20), both zeros, exponents near the cap, and
+# +-1e400, which overflow a float: the library path's presort then falls back.
+PATH_TEXTS = (
+    "0.35", "7/20", "0.350", "-0", "0", "0/5", "1/3", "2", "1e400", "-1e400", "1E-400",
+    "9.99e20000", "-1e-20000", "1e-19999", "1/2", "0.5",
+)
+path_rows = st.lists(
+    st.tuples(st.sampled_from(PATH_TEXTS), st.booleans()), min_size=2, max_size=30
+).filter(lambda rs: len({pos for _, pos in rs}) == 2)
+
+
+@given(path_rows)
+@settings(max_examples=150, deadline=None)
+def test_the_file_path_and_the_library_path_agree(rs):
+    from_file = parse_input("".join(f"{s},{int(pos)}\n" for s, pos in rs))  # Decimals
+    from_rows = dataset_from_pairs(rs)  # Fractions
+    assert {type(s) for s in from_rows.counts.scores} == {Fraction}
+    if any("/" not in s for s, _ in rs):
+        assert Decimal in {type(s) for s in from_file.positives + from_file.negatives}
+    assert from_file == from_rows and hash(from_file) == hash(from_rows)
+    assert _outputs(from_file) == _outputs(from_rows)

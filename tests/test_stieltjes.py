@@ -15,7 +15,7 @@ from exactroc.stieltjes import (
     rate_step_function,
 )
 from datagen import random_dataset
-from oracles import fpr_at, tpr_at
+from oracles import balanced, fpr_at, left_limit, right_limit, tpr_at, value_at
 
 C = Fraction(7, 20)
 
@@ -44,16 +44,18 @@ def test_negative_rate_function_table(mixed):
 
 def test_limits_at_single_jump(counterexample):
     g = rate_step_function(counterexample, "positive")
-    assert g.left_limit(C) == 1
-    assert g(C) == 1
-    assert g.right_limit(C) == 0
-    assert g.balanced(C) == Fraction(1, 2)
+    assert left_limit(g, C) == 1
+    assert value_at(g, C) == 1
+    assert right_limit(g, C) == 0
+    assert balanced(g, C) == Fraction(1, 2)
 
 
 def test_limits_away_from_jumps(mixed):
     g = rate_step_function(mixed, "positive")
     x = Fraction(7, 10)  # strictly between the two breakpoints
-    assert g.left_limit(x) == g(x) == g.right_limit(x) == g.balanced(x) == Fraction(1, 2)
+    assert (
+        left_limit(g, x) == value_at(g, x) == right_limit(g, x) == balanced(g, x) == Fraction(1, 2)
+    )
 
 
 def test_negative_differential_single_atom(counterexample):
@@ -65,6 +67,14 @@ def test_negative_differential_single_atom(counterexample):
 def test_negative_differential_two_atoms(mixed):
     m = negative_differential(rate_step_function(mixed, "negative"))
     assert m.atoms == ((Fraction(1, 10), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_equal_jumps_share_one_weight_object():
+    # 50 distinct positive scores: every jump of the positive rate is 1/50
+    d = Dataset([str(k) for k in range(50)], ["0.5", "1.5"])
+    m = negative_differential(rate_step_function(d, "positive"))
+    assert len(m.atoms) == 50 and {w for _, w in m.atoms} == {Fraction(1, 50)}
+    assert len({id(w) for _, w in m.atoms}) == 1
 
 
 def test_negative_differential_of_constant_is_empty():
@@ -138,8 +148,8 @@ def test_balanced_integral_equals_trapezoidal_area(seed):
     t = rate_step_function(d, "positive")
     m = negative_differential(rate_step_function(d, "negative"))
     assert integrate("balanced", t, m) == auc_trapezoid(roc_curve(d))
-    for variant, pointwise in (("right", t.right_limit), ("balanced", t.balanced)):
-        assert integrate(variant, t, m) == sum(w * pointwise(a) for a, w in m.atoms)
+    for variant, pointwise in (("right", right_limit), ("balanced", balanced)):
+        assert integrate(variant, t, m) == sum(w * pointwise(t, a) for a, w in m.atoms)
 
 
 @given(st.integers(0, 10**6))
@@ -176,8 +186,8 @@ def test_rate_functions_agree_with_rate_counts(seed):
     probes = list(d.counts.scores)
     probes += [a + Fraction(1, 999) for a in probes] + [probes[0] - 1, probes[-1] + 1]
     for x in probes:
-        assert t(x) == tpr_at(d, x)
-        assert f(x) == fpr_at(d, x)
+        assert value_at(t, x) == tpr_at(d, x)
+        assert value_at(f, x) == fpr_at(d, x)
 
 
 @given(st.integers(0, 10**6))
@@ -185,6 +195,6 @@ def test_one_sided_limits_ordering(seed):
     d = random_dataset(random.Random(seed), max_size=30)
     g = rate_step_function(d, "positive")
     for x in g.breakpoints:
-        assert g.left_limit(x) == g(x)
-        assert g.left_limit(x) > g.right_limit(x)
-        assert g.right_limit(x) < g.balanced(x) < g.left_limit(x)
+        assert left_limit(g, x) == value_at(g, x)
+        assert left_limit(g, x) > right_limit(g, x)
+        assert right_limit(g, x) < balanced(g, x) < left_limit(g, x)
