@@ -43,6 +43,7 @@ _LABELS = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "fals
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 _MIN_WIDTH_PX = 64  # the narrowest SVG canvas, for emit_curve_svg and `curve --width`
 _CHUNK_LINES = 1024  # lines parse_input counts at once: its extra memory follows this
+_SPANS = "quoted field spans lines"  # a line whose quoted field does not close on it
 
 
 class ParseError(ValueError):
@@ -142,16 +143,14 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
     Scores are decimal text, read exactly by `core.read_score`: as a Decimal, or as a
     Fraction for `a/b` text; the two compare exactly. Labels accept 1/0, pos/neg, true/false
     (case-insensitive). A single leading header line is skipped when neither of its
-    fields makes sense as data. Lines are read `_CHUNK_LINES` at a time. A chunk with no
-    quote is added to one count of raw lines, in C, and only the lines new to that count
-    are parsed; a chunk holding a quote goes row by row, and so does a chunk whose new
-    lines hold an error, to raise it with its exact line. So each class is a tally with
-    one tally entry per distinct raw line (per distinct row for a quoted record that
-    spans lines), and memory follows the distinct lines, not the rows: 1e6 rows on a
-    3-decimal grid, about 2,000 distinct lines, parse in about 0.25 s in process,
-    against 0.5 s row by row. Each distinct stripped score text is read once. Raises
-    ParseError with the offending line number, or DegenerateClassesError when only one
-    class is present.
+    fields makes sense as data. Each line is one csv record: a quoted field must close on
+    the line it opens on, the last line included. Lines are read `_CHUNK_LINES` at a time.
+    Each chunk is added to one count of raw lines, in C, and only the lines new to that
+    count are parsed. So each class is a tally with one tally entry per distinct raw
+    line, and memory follows the distinct lines, not the rows: 1e6 rows on a 3-decimal
+    grid, about 2,000 distinct lines, parse in about 0.25 s in process. Each distinct
+    stripped score text is read once. Raises ParseError at the first failing line, or
+    DegenerateClassesError when only one class is present.
     """
     if fmt not in _DELIMITERS:
         raise ValueError(f"fmt must be 'csv' or 'tsv', not {fmt!r}")
@@ -159,97 +158,81 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
     lines = iter(io.StringIO(source) if isinstance(source, str) else source)
     done = 0  # lines read before the chunk
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        if '"' not in "".join(chunk) and state.count_chunk(chunk):
-            done += len(chunk)
-        else:
-            done += state.read_rows(chunk, lines, done)
+        state.count_chunk(chunk, done)
+        done += len(chunk)
     return state.dataset()
 
 
 class _ParseState:
-    """One parse_input call: its lines counted, and the score of each data line."""
+    """One parse_input call: its raw lines counted, and the score of each new data line."""
 
     def __init__(self, delimiter: str) -> None:
         self.delimiter = delimiter
-        self.counts: Counter[str] = Counter()  # raw line -> rows, from chunks with no quote
-        # the same from read_rows, in a plain dict: a Counter's item assignment is slower
-        self.rows: dict[str | tuple[str, ...], int] = {}
-        self.classes: tuple[dict, dict] = {}, {}  # negatives, positives: a data key -> score
+        self.counts: Counter[str] = Counter()  # raw line -> rows
+        self.classes: tuple[dict, dict] = {}, {}  # negatives, positives: a data line -> score
         self.scores: dict[str, Score] = {}  # stripped score text -> its value, read once
         self.first_data_row = True
-        self.header: str | None = None  # the header's raw line, if a chunk's pass read it
+        self.header: tuple[str, str] | None = None  # its raw line, and the error it recurs as
 
-    def read_row(self, key: str | tuple[str, ...], row: list[str], line: int) -> bool:
-        """Read a row its path has not counted yet, as `key`; False for the header line."""
+    def read_row(self, line: str, row: list[str]) -> None:
+        """Read the row of a line new to the count; a refused row raises ValueError.
+
+        The header line is not data: it is kept in `header`, with the error it recurs as.
+        """
         if not "".join(row).strip():
-            return True
+            return
         if len(row) != 2:
-            raise ParseError(line, f"expected 2 fields, got {len(row)}")
+            raise ValueError(f"expected 2 fields, got {len(row)}")
         score_text, label_text = row[0].strip(), row[1].strip()
         label = _LABELS.get(label_text.lower())
         scores = self.scores
         try:
             value = scores[score_text] if score_text in scores else read_score(score_text)
         except (ValueError, ZeroDivisionError):
-            if self.first_data_row and label is None:
-                self.first_data_row = False
-                return False
-            raise ParseError(line, f"cannot read score {score_text!r}") from None
-        if label is None:
-            raise ParseError(line, f"cannot read label {label_text!r}")
-        self.classes[label][key] = scores[score_text] = value
+            error = f"cannot read score {score_text!r}"
+            if not self.first_data_row or label is not None:
+                raise ValueError(error) from None
+            self.header = line, error
+        else:
+            if label is None:
+                raise ValueError(f"cannot read label {label_text!r}")
+            self.classes[label][line] = scores[score_text] = value
         self.first_data_row = False
-        return True
 
-    def count_chunk(self, chunk: list[str]) -> bool:
-        """Count a chunk holding no quote, and read only the lines it adds.
+    def count_chunk(self, chunk: list[str], done: int) -> None:
+        """Count a chunk, and read only the lines it adds to the count; `done` lines precede it.
 
-        False when it adds a line that `read_row` or csv refuses, or when the header line
-        recurs. Both judge each line alone, so `read_rows` then raises within the chunk;
-        the header rule's state is put back for it, as it was before the chunk.
+        Each line it adds must be one whole csv record. ParseError names the chunk's first
+        failing line: an added line that `read_row` or csv refuses, or whose quoted field
+        runs past its end, or the header line recurring.
         """
         counts = self.counts
-        before, first_data_row = len(counts), self.first_data_row
+        before = len(counts)
         counts.update(chunk)
-        new = list(islice(reversed(counts), len(counts) - before))[::-1]  # the keys it added
+        new = list(islice(reversed(counts), len(counts) - before))[::-1]  # the lines it added
+        # At the end of its input csv closes an open quote silently. The empty line read
+        # after the last added line makes a quote left open there run past its end too.
+        reader = csv.reader(chain(new, [""]), delimiter=self.delimiter)
+        errors = []  # (index in the chunk, message)
         try:
-            for line, row in zip(new, csv.reader(new, delimiter=self.delimiter)):
-                if not self.read_row(line, row, 0):
-                    self.header = line
-            if self.header is None or counts[self.header] == 1:
-                return True
-        except (ParseError, csv.Error):
-            pass
-        self.first_data_row = first_data_row
-        return False
-
-    def read_rows(self, chunk: list[str], rest: Iterator[str], done: int) -> int:
-        """Count a chunk's rows one by one; the number of lines read.
-
-        A row read from one line is counted as that raw line, and a record spanning
-        lines as its tuple of fields. A quoted record still open at the chunk's end reads
-        on from `rest`: csv.reader pulls one line at a time, so it stops at the first row
-        that ends past the chunk. `done` lines precede the chunk.
-        """
-        rows, reader = self.rows, csv.reader(chain(chunk, rest), delimiter=self.delimiter)
-        read, size = 0, len(chunk)
-        try:
-            for row in reader:
-                first, read = read, reader.line_num
-                key = chunk[first] if read == first + 1 else tuple(row)
-                if key in rows:
-                    rows[key] += 1
-                elif self.read_row(key, row, done + read):
-                    rows[key] = 1
-                if read >= size:
-                    break
-        except csv.Error as e:  # e.g. a field past csv.field_size_limit()
-            raise ParseError(done + reader.line_num, str(e)) from None
-        return reader.line_num
+            for k, line in enumerate(new):
+                row = next(reader)
+                if reader.line_num > k + 1:
+                    raise ValueError(_SPANS)
+                self.read_row(line, row)
+        except (csv.Error, ValueError) as e:  # csv's include a field past its size limit
+            spans = reader.line_num > k + 1  # the record ran on past its line, failed or not
+            errors.append((chunk.index(new[k]), _SPANS if spans else str(e)))
+        if self.header and counts[self.header[0]] > 1:  # the header line recurs
+            line, error = self.header
+            at = chunk.index(line)
+            errors.append((chunk.index(line, at + 1) if line in new else at, error))
+        if errors:
+            at, error = min(errors)
+            raise ParseError(done + at + 1, error)
 
     def dataset(self) -> Dataset:
-        """Each class as a tally of its keys' scores and counts, in first-seen order."""
-        self.counts.update(self.rows)
+        """Each class as a tally of its lines' scores and counts, in first-seen order."""
         count = self.counts.__getitem__
         neg, pos = (Tally(tuple(c.values()), tuple(map(count, c))) for c in self.classes)
         return Dataset(pos, neg)

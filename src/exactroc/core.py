@@ -192,11 +192,10 @@ class Tally(NamedTuple):
     """One class as a counting measure: mult[k] of its observations score scores[k].
 
     Every multiplicity is a positive int. The entries need not have distinct values:
-    `Dataset` keeps one per score object, and `parse_input` one per distinct raw line
-    (per distinct row for a quoted record that spans lines), so equal values written
-    differently are separate entries, which the count table merges. `parse_input`'s
-    scores are Decimals, and Fractions for `a/b` text; a row class's are Fractions
-    unless it was given Decimals.
+    `Dataset` keeps one per score object, and `parse_input` one per distinct raw line,
+    so equal values written differently are separate entries, which the count table
+    merges. `parse_input`'s scores are Decimals, and Fractions for `a/b` text; a row
+    class's are Fractions unless it was given Decimals.
     """
 
     scores: tuple[Score, ...]

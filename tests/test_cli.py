@@ -2,6 +2,7 @@ import contextlib
 import csv
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -164,14 +165,21 @@ def test_parse_input_rejects_an_unknown_format():
 
 
 def _parse_row_by_row(text):
-    """parse_input without its memo: every row is checked, stripped and read afresh."""
+    """parse_input without its memo: every row is checked, stripped and read afresh.
+
+    A record that csv reads over more than one line is refused at its first line. An
+    empty line is read after the text, so a quote left open on its last line runs on too.
+    """
     labels = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "false": False}
     positives, negatives = [], []
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(itertools.chain(io.StringIO(text), [""]))
     first_data_row = True
+    start = 1  # the line the next record starts on
     try:
         for row in reader:
-            line = reader.line_num
+            line, start = start, reader.line_num + 1
+            if reader.line_num > line:
+                raise ParseError(line, "quoted field spans lines")
             if not "".join(row).strip():
                 continue
             if len(row) != 2:
@@ -190,7 +198,8 @@ def _parse_row_by_row(text):
             (positives if label else negatives).append(value)
             first_data_row = False
     except csv.Error as e:
-        raise ParseError(reader.line_num, str(e)) from None
+        message = "quoted field spans lines" if reader.line_num > start else str(e)
+        raise ParseError(start, message) from None
     return Dataset(positives, negatives)
 
 
@@ -229,8 +238,8 @@ def test_parse_input_memo_changes_nothing(header, rows):
     [
         ("0.5,1\n0.5,0\n0.5,1\n 0.5,0\nbad,1\n", 5, "cannot read score 'bad'"),
         ("0.5,1\n0.5,0\n0.5,1\n0.5,0\n0.5,maybe\n", 5, "cannot read label 'maybe'"),
-        ('"0.5\n",1\n"0.5\n",0\n"0.5\n",1\n0.5,1,x\n', 7, "expected 2 fields, got 3"),
-        ('0.5,"\n1"\n0.5,"\n1"\n0.5,0\n0.5,"\nmaybe"\n', 7, "cannot read label 'maybe'"),
+        ('"0.5\n",1\n"0.5\n",0\n"0.5\n",1\n0.5,1,x\n', 1, "quoted field spans lines"),
+        ('0.5,"\n1"\n0.5,"\n1"\n0.5,0\n0.5,"\nmaybe"\n', 1, "quoted field spans lines"),
     ],
     ids=["score-after-hits", "label-after-hits", "fields-after-quoted", "quoted-label"],
 )
@@ -263,8 +272,8 @@ def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
     assert sorted(calls) == sorted(["0.5", "0.50", "1/2", "0.25", "-3", "1e-3", "7/20"])
     halves = parse_input(' 0.5,1\n"0.5",0\n0.5,1\n0.5 ,0\n')
     assert len({id(s) for s in halves.positives + halves.negatives}) == 1
-    # Without the quoted spelling, chunks are counted as raw lines; one quoted row in the
-    # middle sends its own chunk row by row. Each stripped text is still read once.
+    # Every chunk is counted as raw lines, and a line new to the count is read through
+    # csv, whichever chunk it falls in. Each stripped text is still read once.
     unquoted = [s for s in spellings if '"' not in s]
     rows = [f"{rng.choice(unquoted)},{rng.choice(labels)}\n" for _ in range(10_000)]
     rows[5_000] = '"0.5",1\n'
@@ -283,6 +292,7 @@ CHUNK_ROWS = [
     '0.25,"\n1"',
     "0.5\x00,1",  # a NUL byte: csv.Error before Python 3.11, an unreadable score after
     "1" * (csv.field_size_limit() + 1) + ",0",  # csv.Error: field larger than field limit
+    '0.25,"0',  # a quote left open: the line, and with it the file, is refused
 ]
 
 
@@ -301,7 +311,8 @@ CHUNK_ROWS = [
 )
 @settings(max_examples=300, deadline=None)
 def test_parse_input_chunks_change_nothing(header, rows):
-    # Quoted records that span two lines straddle chunk ends; a header may recur anywhere.
+    # Quoted records that span lines straddle chunk ends, and are refused at their first
+    # line; a header may recur anywhere.
     text = ("score,label\n" if header else "") + "".join(row + end for row, end in rows)
     expected = _outcome(_parse_row_by_row, text)
     with pytest.MonkeyPatch.context() as patch:
@@ -311,23 +322,83 @@ def test_parse_input_chunks_change_nothing(header, rows):
                 assert _outcome(parse_input, source) == expected, (size, type(source))
 
 
-def test_parse_input_reads_only_a_quoted_header_chunk_row_by_row(monkeypatch):
-    # R's write.csv quotes the header; the rows after it hold no quote.
-    rows = "".join(f"0.{k % 1000:03d},{k % 3 % 2}\n" for k in range(3_000))
-    starts = []
-    read_rows = cli_module._ParseState.read_rows
+FIELD_LIMIT = csv.field_size_limit()
+SPANS = "quoted field spans lines"
 
-    def spy(self, chunk, rest, done):
-        starts.append(done)
-        return read_rows(self, chunk, rest, done)
 
-    monkeypatch.setattr(cli_module._ParseState, "read_rows", spy)
-    quoted = parse_input('"score","label"\n' + rows)
-    assert starts == [0]  # the header's chunk alone went row by row
-    twin = parse_input("score,label\n" + rows)
-    assert starts == [0]  # and no chunk of the unquoted twin
-    # a row read from one line is counted as that line, on either path
-    assert (quoted.pos_tally, quoted.neg_tally) == (twin.pos_tally, twin.neg_tally)
+@pytest.mark.parametrize(
+    ("text", "line", "message"),
+    [
+        ('0.5,1\n0.25,"0\n0.5,1\n', 2, SPANS),
+        ('0.5,1\n0.25,"0', 2, SPANS),
+        ("score,label\r\nscore,label\r\n0.5,1,x\n", 2, "cannot read score 'score'"),
+        ("score,label\n0.5,1\n0.25,0\nscore,label\n0.5,1,x\n", 4, "cannot read score 'score'"),
+        (
+            "0.5,1\n" + "1" * (FIELD_LIMIT + 1) + ",0\n",
+            2,
+            f"field larger than field limit ({FIELD_LIMIT})",
+        ),
+        ('0.5,1\n0.25,"0\n' + "1" * (FIELD_LIMIT + 1) + ",0\n", 2, SPANS),
+        (
+            "0.5,1\n0.5\x00,1\n",
+            2,
+            "line contains NUL" if sys.version_info < (3, 11) else "cannot read score '0.5\\x00'",
+        ),
+    ],
+    ids=[
+        "quote-open-on-a-chunks-last-new-line",
+        "quote-open-on-the-last-line",
+        "header-recurs-before-a-bad-line",
+        "header-recurs-in-a-later-chunk",
+        "csv-error-on-its-own-line",
+        "quote-open-before-a-csv-error",
+        "nul-byte",
+    ],
+)
+def test_parse_input_refuses_at_the_first_failing_line(text, line, message):
+    # A quote left open on the last line a chunk adds would end at the end of csv's input,
+    # and be read as a whole field, but for the empty line parse_input reads after it.
+    expected = ("ParseError", line, f"line {line}: {message}")
+    assert _outcome(_parse_row_by_row, text) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        for size in CHUNK_SIZES:
+            patch.setattr(cli_module, "_CHUNK_LINES", size)
+            for source in (text, iter(text.splitlines(keepends=True))):
+                assert _outcome(parse_input, source) == expected, size
+
+
+def test_parse_input_refuses_bytes_lines_with_csvs_message():
+    with pytest.raises(csv.Error) as csv_error:
+        next(csv.reader([b"0.5,1\n"]))
+    with pytest.raises(ParseError) as exc:
+        parse_input(iter([b"0.5,1\n", b"0.1,0\n"]))
+    assert str(exc.value) == f"line 1: {csv_error.value}"
+
+
+def test_parse_input_reads_each_distinct_line_once_quoted_or_not(monkeypatch):
+    # R's write.csv quotes the header and every text field; the twins differ only in quotes.
+    grid = [(f"0.{k % 1000:03d}", k % 3 % 2) for k in range(3_000)]
+    twins = [
+        "score,label\n" + "".join(f"{s},{c}\n" for s, c in grid),
+        '"score","label"\n' + "".join(f"{s},{c}\n" for s, c in grid),
+        '"score","label"\n' + "".join(f'{s},"{c}"\n' for s, c in grid),
+    ]
+    lines = []
+    read_row = cli_module._ParseState.read_row
+
+    def spy(self, line, row):
+        lines.append(line)
+        return read_row(self, line, row)
+
+    monkeypatch.setattr(cli_module._ParseState, "read_row", spy)
+    tallies = []
+    for text in twins:
+        lines.clear()
+        d = parse_input(text)
+        assert sorted(lines) == sorted(set(text.splitlines(keepends=True)))
+        tallies.append((d.pos_tally, d.neg_tally))
+    # a line is counted as itself, so twins differ in keys but not in their tallies
+    assert tallies[0] == tallies[1] == tallies[2]
 
 
 GRID_LINES = [f"{k // 1000}.{k % 1000:03d},{c}\n".encode() for k in range(1001) for c in (0, 1)]
@@ -1311,6 +1382,11 @@ INPUT_CORPUS = {
         "1e-99999999999,1\n0,0\n",
         1,
         "error: line 1: cannot read score '1e-99999999999'\n",
+    ),
+    "quote-left-open-on-line-2-of-200k": (
+        'score,label\n0.25,"0\n' + "".join(f"0.{k % 1000:03d},{k % 2}\n" for k in range(200_000)),
+        1,
+        "error: line 2: quoted field spans lines\n",
     ),
 }
 
