@@ -138,7 +138,7 @@ def _equal(name: str, a: Rational, b: Rational) -> tuple[str, bool, str]:
 
 
 def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv") -> Dataset:
-    """Parse `score,label` records from text or lines (an open file is read in chunks).
+    """Parse `score,label` records from lines (an open file), or text split as a file is.
 
     Scores are decimal text, read exactly by `core.read_score`: as a Decimal, or as a
     Fraction for `a/b` text; the two compare exactly. Labels accept 1/0, pos/neg, true/false
@@ -155,7 +155,7 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
     if fmt not in _DELIMITERS:
         raise ValueError(f"fmt must be 'csv' or 'tsv', not {fmt!r}")
     state = _ParseState(_DELIMITERS[fmt])
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
     done = 0  # lines read before the chunk
     while chunk := list(islice(lines, _CHUNK_LINES)):
         state.count_chunk(chunk, done)

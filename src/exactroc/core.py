@@ -18,7 +18,6 @@ from __future__ import annotations
 import numbers
 import re
 import sys
-from collections import Counter
 from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
@@ -192,10 +191,11 @@ class Tally(NamedTuple):
     """One class as a counting measure: mult[k] of its observations score scores[k].
 
     Every multiplicity is a positive int. The entries need not have distinct values:
-    `Dataset` keeps one per score object, and `parse_input` one per distinct raw line,
-    so equal values written differently are separate entries, which the count table
-    merges. `parse_input`'s scores are Decimals, and Fractions for `a/b` text; a row
-    class's are Fractions unless it was given Decimals.
+    `parse_input` keeps one per distinct raw line, so equal values written differently
+    are separate entries, and `Dataset` keeps one per value of each score type, so a
+    Decimal and an equal Fraction are two. The count table merges them. `parse_input`'s
+    scores are Decimals, and Fractions for `a/b` text; a row class's are Fractions
+    unless it was given Decimals.
     """
 
     scores: tuple[Score, ...]
@@ -206,11 +206,14 @@ class Dataset(_Frozen):
     """Finite observation set: each class is a counting measure on exact scores.
 
     The constructor takes each class as any iterable of Fractions, Decimals, ints or
-    score text, one element per observation, and stores it as a `Tally` of its distinct
-    score objects with their multiplicities: every element goes through `score()`,
-    which keeps a Fraction or a Decimal as the same object, reads ints and text exactly
-    as Fractions and raises TypeError on binary floating point. A class that is itself text (str or bytes)
-    raises TypeError: iterating it would read each character as a score. A class may
+    score text, one element per observation, and reads it in one pass into a `Tally`
+    of its distinct values with their multiplicities, keeping the first score object
+    seen for each: every element goes through `score()`, which keeps a Fraction or a
+    Decimal as the same object, reads ints and text exactly as Fractions and raises
+    TypeError on binary floating point. A Decimal is tallied by itself and a Fraction
+    by its integer ratio, so no Fraction is hashed, and memory follows the distinct
+    values, not the rows. A class that is itself text (str or bytes) raises
+    TypeError: iterating it would read each character as a score. A class may
     also be given already counted, as a `Tally`; `parse_input` builds its classes so,
     one entry per distinct raw line, and never holds one entry per row. Both classes
     must be non-empty.
@@ -223,7 +226,6 @@ class Dataset(_Frozen):
 
     pos_tally: Tally
     neg_tally: Tally
-    _fields = ("positives", "negatives")  # the constructor's arguments, read back as rows
     __slots__ = (*__annotations__, "__dict__")  # the dict holds the cached properties
 
     def __init__(self, positives: Iterable[Score | int | str] | Tally,
@@ -236,10 +238,12 @@ class Dataset(_Frozen):
             elif isinstance(column, (str, bytes)):
                 kind = type(column).__name__
                 raise TypeError(f"{name} must be an iterable of scores, not {kind}")
-            else:  # every pass over the rows runs in C: map, zip, dict and Counter
-                column = tuple(map(score, column))
-                scores = tuple(dict(zip(map(id, column), column)).values())
-                mult = tuple(Counter(map(id, column)).values())  # the same first-seen order
+            else:  # one pass; a Fraction's key is its integer ratio, so none is hashed
+                tally: dict[object, list] = {}
+                for s in map(score, column):
+                    key = s if isinstance(s, Decimal) else s.as_integer_ratio()
+                    tally.setdefault(key, [s, 0])[1] += 1
+                scores, mult = tuple(zip(*tally.values())) or ((), ())
             object.__setattr__(self, name[:3] + "_tally", Tally(scores, mult))
         if not self.pos_tally.scores and not self.neg_tally.scores:
             raise DegenerateClassesError("dataset is empty")
@@ -286,22 +290,17 @@ class Dataset(_Frozen):
     def counts(self) -> CountTable:
         """The per-score class counts every exact quantity is computed from.
 
-        The two tallies merge by value. A Decimal is its own key, hashed in C; a Fraction's
-        key is its integer ratio, equal for equal values since a Fraction is reduced, so no
-        Fraction is hashed. A Decimal and an equal Fraction meet once sorted, as neighbours.
-        O(d log d) for d tally entries, whatever the number of rows.
+        Every entry of the two tallies is sorted once, and each run of equal neighbours
+        is summed into one row, so entries merge by value with no score hashed: a
+        Decimal and an equal Fraction, or one value on several raw lines. O(d log d) for
+        d tally entries, whatever the number of rows.
         """
-        merged: dict[object, list] = {}
-        for (scores, mult), k in ((self.pos_tally, 1), (self.neg_tally, 2)):
-            for s, c in zip(scores, mult):
-                key = s if isinstance(s, Decimal) else s.as_integer_ratio()
-                merged.setdefault(key, [s, 0, 0])[k] += c
-        rows = sorted_exact(merged.values())
-        if len(set(map(type, merged))) > 1:  # both kinds of key
-            rows = _merge_equal(rows)
-        del merged  # freed first, so the running counts reuse its memory
-        scores, pos, neg = zip(*rows)
-        del rows
+        rows = sorted_exact(chain(
+            ([s, c, 0] for s, c in zip(*self.pos_tally)),
+            ([s, 0, c] for s, c in zip(*self.neg_tally)),
+        ))
+        scores, pos, neg = zip(*_merge_equal(rows))
+        del rows  # freed first, so the running counts reuse its memory
         pos_ge = tuple(accumulate(pos, sub, initial=self.n_pos))
         neg_ge = tuple(accumulate(neg, sub, initial=self.n_neg))
         return CountTable(scores, pos, neg, pos_ge, neg_ge)

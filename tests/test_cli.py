@@ -113,6 +113,17 @@ def test_parse_input_reads_text_and_lines_alike(text):
     assert _parsed(text) == _parsed(io.StringIO(text)) == _parsed(iter(lines))
 
 
+def test_parse_input_splits_text_on_every_line_end_as_a_file_is_split(tmp_path, capsys):
+    # CR-only line ends: text is split with universal newlines, as `main` reads a file
+    text = "score,label\r0.5,1\r0.9,1\r0.5,0\r0.1,0\r"
+    d = parse_input(text)
+    assert d == parse_input(iter(text.splitlines(keepends=True)))
+    path = tmp_path / "cr.csv"
+    path.write_bytes(text.encode())
+    assert main(["report", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == emit_report(run_report(d), "json")
+
+
 @pytest.mark.parametrize(
     "text",
     ["0.5,maybe\n0.1,0\n", "0.5\n0.1,0\n", "0.5,1,extra\n0.1,0\n"],

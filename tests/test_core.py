@@ -3,6 +3,7 @@ import numbers
 import pickle
 import random
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -135,7 +136,7 @@ def test_dataset_repr_shows_the_tallies_not_the_rows():
     assert eval(text, {"Dataset": Dataset, "Tally": Tally, "Fraction": Fraction}) == d
 
 
-def test_dataset_stores_each_class_as_a_tally_of_its_score_objects():
+def test_dataset_stores_each_class_as_a_tally_of_its_values():
     half, tenth = Fraction(1, 2), Fraction(1, 10)
     d = Dataset([half, Fraction(9, 10), half, half], [tenth, "1/2"])
     assert d.pos_tally == Tally((half, Fraction(9, 10)), (3, 1))
@@ -155,6 +156,39 @@ def test_dataset_stores_each_class_as_a_tally_of_its_score_objects():
         Dataset([half], Tally((half,), (1.0,)))
     with pytest.raises(DegenerateClassesError, match="^dataset has no positive observation$"):
         Dataset(Tally((), ()), [half])
+
+
+def test_rows_given_as_text_are_one_tally_entry_per_value():
+    d = dataset_from_pairs([("0.5", True)] * 1000 + [("0.1", False)])
+    assert d.pos_tally == Tally((Fraction(1, 2),), (1000,))
+    # a Decimal is tallied by itself, a Fraction by its ratio; the count table merges them
+    d = Dataset(["0.5", Fraction(1, 2), Decimal("0.50")], ["0.1"])
+    assert d.pos_tally == Tally((Fraction(1, 2), Decimal("0.50")), (2, 1))
+    assert [type(s) for s in d.pos_tally.scores] == [Fraction, Decimal]
+    assert d.counts[:3] == ((Fraction(1, 10), Fraction(1, 2)), (0, 3), (1, 0))
+
+
+def _grid_texts(n, seed):
+    """n scores on the 3-decimal grid 0.000..1.000, each a fresh str."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        k = rng.randint(0, 1000)
+        yield f"{k // 1000}.{k % 1000:03d}"
+
+
+def test_dataset_memory_follows_the_values_not_the_rows():
+    # The rows come from generators, so nothing holds them: what Dataset holds is one
+    # tally entry per grid value, whatever the rows.
+    Dataset(_grid_texts(2_500, 1), _grid_texts(2_500, 2))  # leaves out one-time allocations
+    peaks = []
+    for n in (10_000, 40_000):
+        tracemalloc.start()
+        try:
+            assert len(Dataset(_grid_texts(n // 2, 1), _grid_texts(n // 2, 2))) == n
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2**20 and max(peaks) <= 1.1 * min(peaks), peaks
 
 
 def test_dataset_reads_its_columns_through_score():
