@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Dataset, _Frozen
+from .core import Dataset, _Frozen, dataset_from_pairs
 
 MAX_SAMPLES = 200_000  # draws per class; `contlab` at eps = 0.49 then takes about 10 s and 140 MB
 _TAIL = Fraction(0)  # the one score of every tail draw, below each center draw's 1 + |t|
@@ -131,10 +131,9 @@ def sample(m: LaplaceTieModel, samples: int, seed: int) -> Dataset:
         raise ValueError(f"seed must be non-negative, got {seed}")
     eps = m.epsilon
     rng = random.Random(seed)
-    positives, negatives = [], []
-    for _ in range(samples):
-        r = rng.uniform(0.0, eps) if rng.random() < 2.0 * eps else eps + rng.expovariate(1.0)
-        s = rng.expovariate(1.0)
-        positives.append(exact_score(m, r))
-        negatives.append(exact_score(m, s))
-    return Dataset(positives, negatives)
+    def draws():  # in the order the seed fixes: each positive, then its negative
+        for _ in range(samples):
+            r = rng.uniform(0.0, eps) if rng.random() < 2.0 * eps else eps + rng.expovariate(1.0)
+            yield exact_score(m, r), True
+            yield exact_score(m, rng.expovariate(1.0)), False
+    return dataset_from_pairs(draws())

@@ -21,7 +21,7 @@ import sys
 from decimal import Context, Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import index, itemgetter, sub
 from typing import Iterable, NamedTuple
 
@@ -207,21 +207,16 @@ class Dataset(_Frozen):
 
     The constructor takes each class as any iterable of Fractions, Decimals, ints or
     score text, one element per observation, and reads it in one pass into a `Tally`
-    of its distinct values with their multiplicities, keeping the first score object
-    seen for each: every element goes through `score()`, which keeps a Fraction or a
-    Decimal as the same object, reads ints and text exactly as Fractions and raises
-    TypeError on binary floating point. A Decimal is tallied by itself and a Fraction
-    by its integer ratio, so no Fraction is hashed, and memory follows the distinct
-    values, not the rows. A class that is itself text (str or bytes) raises
-    TypeError: iterating it would read each character as a score. A class may
-    also be given already counted, as a `Tally`; `parse_input` builds its classes so,
-    one entry per distinct raw line, and never holds one entry per row. Both classes
-    must be non-empty.
+    of its distinct values with their multiplicities (`_count`), so memory follows the
+    values, not the rows. Every element goes through `score()`, which keeps a Fraction
+    or a Decimal as the same object, reads ints and text exactly as Fractions and raises
+    TypeError on binary floating point. A class that is itself text (str or bytes)
+    raises TypeError: iterating it would read each character as a score. A class may
+    also be given already counted, as a `Tally`, as `parse_input` and
+    `dataset_from_pairs` give it. Both classes must be non-empty.
 
-    `positives` and `negatives` are views of the classes as rows, each score repeated
-    by its multiplicity in the tally's order; they are built on each read, so the repr
-    shows the tallies instead. Two datasets are equal when their classes are equal
-    measures: the same count table.
+    A dataset is read only as its two measures, `pos_tally` and `neg_tally`, through
+    `n_pos`, `n_neg` and `counts`. Two datasets are equal when their count tables are.
     """
 
     pos_tally: Tally
@@ -238,12 +233,11 @@ class Dataset(_Frozen):
             elif isinstance(column, (str, bytes)):
                 kind = type(column).__name__
                 raise TypeError(f"{name} must be an iterable of scores, not {kind}")
-            else:  # one pass; a Fraction's key is its integer ratio, so none is hashed
-                tally: dict[object, list] = {}
+            else:
+                counted: dict[object, list] = {}
                 for s in map(score, column):
-                    key = s if isinstance(s, Decimal) else s.as_integer_ratio()
-                    tally.setdefault(key, [s, 0])[1] += 1
-                scores, mult = tuple(zip(*tally.values())) or ((), ())
+                    _count(counted, s)
+                scores, mult = tuple(zip(*counted.values())) or ((), ())
             object.__setattr__(self, name[:3] + "_tally", Tally(scores, mult))
         if not self.pos_tally.scores and not self.neg_tally.scores:
             raise DegenerateClassesError("dataset is empty")
@@ -251,14 +245,6 @@ class Dataset(_Frozen):
             raise DegenerateClassesError("dataset has no positive observation")
         if not self.neg_tally.scores:
             raise DegenerateClassesError("dataset has no negative observation")
-
-    @property
-    def positives(self) -> tuple[Score, ...]:
-        return tuple(chain.from_iterable(map(repeat, *self.pos_tally)))
-
-    @property
-    def negatives(self) -> tuple[Score, ...]:
-        return tuple(chain.from_iterable(map(repeat, *self.neg_tally)))
 
     def __reduce__(self) -> tuple:  # copy and pickle rebuild from the tallies, not the rows
         return type(self), (self.pos_tally, self.neg_tally)
@@ -329,16 +315,30 @@ def _merge_equal(rows: list[list]) -> list[list]:
     return kept
 
 
-def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Dataset:
-    """Build a Dataset from (score, is_positive) pairs, split into the two columns.
+def _count(counted: dict[object, list], s: Score) -> None:
+    """Count one observation of `s` in `counted`, {key: [first score seen, count]}: a
+    Decimal is its own key and a Fraction's is its integer ratio, so none is hashed."""
+    key = s if isinstance(s, Decimal) else s.as_integer_ratio()
+    counted.setdefault(key, [s, 0])[1] += 1
 
-    `Dataset` reads the scores, so each is read once and a float raises TypeError.
-    Errors are reported column by column: every positive score is read before any
-    negative, so a bad positive is named even when a bad negative comes first.
+
+def dataset_from_pairs(pairs: Iterable[tuple[Score | int | str, bool]]) -> Dataset:
+    """Build a Dataset from (score, is_positive) pairs, counting each pair as it is read.
+
+    Each score is read once through `score()`, so a float raises TypeError, and counted
+    by value (`_count`), so no row is held. The first bad negative's error is raised only
+    if no positive fails, so a bad positive is named even when a bad negative comes first.
     Raises DegenerateClassesError unless both classes are represented.
     """
-    positives: list[Score | int | str] = []
-    negatives: list[Score | int | str] = []
+    counted: tuple[dict, dict] = {}, {}  # positives, negatives
+    held = None
     for s, pos in pairs:
-        (positives if pos else negatives).append(s)
-    return Dataset(positives, negatives)
+        try:
+            _count(counted[not pos], score(s))
+        except Exception as exc:
+            if pos:
+                raise
+            held = held or exc
+    if held:
+        raise held
+    return Dataset(*(Tally(*(tuple(zip(*c.values())) or ((), ()))) for c in counted))

@@ -9,10 +9,16 @@ bisection, where `stieltjes.integrate` walks every atom at once.
 import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain, repeat
 
 from exactroc.contlab import LaplaceTieModel
-from exactroc.core import Dataset, Rational, Score
+from exactroc.core import Dataset, Rational, Score, Tally
 from exactroc.stieltjes import StepFunction
+
+
+def rows(tally: Tally) -> tuple[Score, ...]:
+    """One score per observation: each of the tally's scores repeated by its multiplicity."""
+    return tuple(chain.from_iterable(map(repeat, *tally)))
 
 
 def tpr_at(d: Dataset, tau: Score) -> Rational:

@@ -29,6 +29,7 @@ from exactroc.contlab import LaplaceTieModel, jump_certificate
 from exactroc.pairwise import pair_probability_bruteforce
 from exactroc.stieltjes import integrate, negative_differential, rate_step_function
 from datagen import random_dataset
+from oracles import rows
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,7 +102,7 @@ def test_criterion_2_area_equals_pair_probability_without_ties(disjoint_pool, ca
             assert auc_trapezoid(roc_curve(d)) == pair_probability_fast(d)
         elapsed = time.perf_counter() - t0
         # generator sanity: the classes really never share a score
-        assert all(not set(d.positives) & set(d.negatives) for d in pool)
+        assert all(not set(d.pos_tally.scores) & set(d.neg_tally.scores) for d in pool)
         assert gen_seconds + elapsed < 10.0
 
 
@@ -117,7 +118,7 @@ def test_criterion_3_gap_equals_tie_correction_with_ties(tied_pool, capsys):
             assert 0 <= r.correction <= r.bound <= Fraction(1, 2)
         elapsed = time.perf_counter() - t0
         # generator sanity: every dataset really has a cross-class tie
-        assert all(set(d.positives) & set(d.negatives) for d in pool)
+        assert all(set(d.pos_tally.scores) & set(d.neg_tally.scores) for d in pool)
         assert gen_seconds + elapsed < 10.0
 
 
@@ -162,7 +163,8 @@ def test_criterion_8_invariance_under_increasing_score_map(capsys):
         for i in range(100):
             d = random_dataset(rng, max_size=120, force_tie=(i % 2 == 0))
             mapped = Dataset(
-                [s**3 + 2 * s for s in d.positives], [s**3 + 2 * s for s in d.negatives]
+                [s**3 + 2 * s for s in rows(d.pos_tally)],
+                [s**3 + 2 * s for s in rows(d.neg_tally)],
             )
             assert auc_trapezoid(roc_curve(mapped)) == auc_trapezoid(roc_curve(d))
             assert pair_probability_fast(mapped) == pair_probability_fast(d)
@@ -190,11 +192,11 @@ def test_criterion_9_cli_golden_report_and_check(tmp_path, capsys):
             d = random_dataset(
                 rng, max_size=80, disjoint=(i % 3 == 0), force_tie=(i % 3 == 1)
             )
-            rows = "".join(
+            lines = "".join(
                 f"{_decimal_text(s)},{label}\n"
-                for column, label in ((d.positives, "1"), (d.negatives, "0"))
-                for s in column
+                for tally, label in ((d.pos_tally, "1"), (d.neg_tally, "0"))
+                for s in rows(tally)
             )
             path = tmp_path / f"fixture_{i:02d}.csv"
-            path.write_text(rows, encoding="utf-8")
+            path.write_text(lines, encoding="utf-8")
             assert main(["check", "--input", str(path)]) == 0, f"fixture {i}"

@@ -37,6 +37,7 @@ from exactroc.pairwise import TieReport
 from exactroc.roc import RocCurve
 from exactroc.stieltjes import AtomicMeasure, StepFunction
 from datagen import random_dataset
+from oracles import rows
 
 COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
 DATA = Path(__file__).parent / "data"
@@ -54,8 +55,8 @@ def _report_with(r, **changes):
 
 def test_parse_counterexample():
     d = parse_input(COUNTEREXAMPLE_CSV)
-    assert d.positives == (Fraction(7, 20),)
-    assert d.negatives == (Fraction(7, 20),)
+    assert rows(d.pos_tally) == (Fraction(7, 20),)
+    assert rows(d.neg_tally) == (Fraction(7, 20),)
 
 
 def test_parse_skips_header():
@@ -77,8 +78,8 @@ def test_parse_bad_score_with_valid_label_is_an_error_even_on_line_one():
 
 def test_parse_tsv():
     d = parse_input("0.5\t1\n0.1\t0\n", fmt="tsv")
-    assert d.positives == (Fraction(1, 2),)
-    assert d.negatives == (Fraction(1, 10),)
+    assert rows(d.pos_tally) == (Fraction(1, 2),)
+    assert rows(d.neg_tally) == (Fraction(1, 10),)
 
 
 def test_parse_skips_blank_lines_but_keeps_line_numbers():
@@ -145,8 +146,8 @@ def test_parse_malformed_rows(text):
     ],
 )
 def test_score_spellings_accepted_by_file_and_library_alike(text, value):
-    assert parse_input(f"0.25,1\n{text},0\n").negatives == (value,)
-    assert dataset_from_pairs([("0.25", True), (text, False)]).negatives == (value,)
+    assert rows(parse_input(f"0.25,1\n{text},0\n").neg_tally) == (value,)
+    assert rows(dataset_from_pairs([("0.25", True), (text, False)]).neg_tally) == (value,)
 
 
 @pytest.mark.parametrize("text", ["0x10", "inf", "nan", "1/0", "²"])
@@ -282,7 +283,7 @@ def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
     assert len(d) == 10_000
     assert sorted(calls) == sorted(["0.5", "0.50", "1/2", "0.25", "-3", "1e-3", "7/20"])
     halves = parse_input(' 0.5,1\n"0.5",0\n0.5,1\n0.5 ,0\n')
-    assert len({id(s) for s in halves.positives + halves.negatives}) == 1
+    assert len({id(s) for s in halves.pos_tally.scores + halves.neg_tally.scores}) == 1
     # Every chunk is counted as raw lines, and a line new to the count is read through
     # csv, whichever chunk it falls in. Each stripped text is still read once.
     unquoted = [s for s in spellings if '"' not in s]

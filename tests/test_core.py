@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from exactroc import Dataset, DegenerateClassesError, dataset_from_pairs, run_report
 from exactroc.core import MAX_EXPONENT, Tally, read_score, score, sorted_exact
 from datagen import random_dataset
+from oracles import rows
 
 
 def test_score_parses_decimal_text_exactly():
@@ -71,8 +72,8 @@ def test_counterexample_dataset_is_valid():
     c = score("0.35")
     d = dataset_from_pairs([(c, True), (c, False)])
     assert len(d) == 2
-    assert d.positives == (c,)
-    assert d.negatives == (c,)
+    assert rows(d.pos_tally) == (c,)
+    assert rows(d.neg_tally) == (c,)
 
 
 def test_single_class_is_degenerate():
@@ -114,8 +115,8 @@ def test_dataset_keeps_its_own_tuple_of_each_column():
     d = Dataset(positives, [Fraction(0)])
     assert d.n_pos == 1
     positives.append(Fraction(2))
-    assert d.n_pos == len(d.positives) == 1
-    assert (d.positives, d.negatives) == ((Fraction(1),), (Fraction(0),))
+    assert d.n_pos == len(rows(d.pos_tally)) == 1
+    assert (rows(d.pos_tally), rows(d.neg_tally)) == ((Fraction(1),), (Fraction(0),))
     assert hash(d) == hash(Dataset((Fraction(1),), (Fraction(0),)))
 
 
@@ -142,7 +143,7 @@ def test_dataset_stores_each_class_as_a_tally_of_its_values():
     assert d.pos_tally == Tally((half, Fraction(9, 10)), (3, 1))
     assert d.pos_tally.scores[0] is half
     assert (d.n_pos, d.n_neg) == (4, 2)
-    assert d.positives == (half, half, half, Fraction(9, 10))  # grouped in first-seen order
+    assert rows(d.pos_tally) == (half, half, half, Fraction(9, 10))  # grouped in first-seen order
     # a class may be given counted; equal measures make equal datasets, in any row order
     counted = Dataset(Tally((Fraction(9, 10), half), (1, 3)), Tally(("0.1", half), (1, 1)))
     assert counted == d and hash(counted) == hash(d)
@@ -177,18 +178,25 @@ def _grid_texts(n, seed):
 
 
 def test_dataset_memory_follows_the_values_not_the_rows():
-    # The rows come from generators, so nothing holds them: what Dataset holds is one
-    # tally entry per grid value, whatever the rows.
-    Dataset(_grid_texts(2_500, 1), _grid_texts(2_500, 2))  # leaves out one-time allocations
-    peaks = []
-    for n in (10_000, 40_000):
-        tracemalloc.start()
-        try:
-            assert len(Dataset(_grid_texts(n // 2, 1), _grid_texts(n // 2, 2))) == n
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert max(peaks) < 2**20 and max(peaks) <= 1.1 * min(peaks), peaks
+    # The rows come from generators, so nothing holds them: what either builder holds is
+    # one tally entry per grid value, whatever the rows.
+    builders = {
+        "Dataset": lambda n: Dataset(_grid_texts(n // 2, 1), _grid_texts(n // 2, 2)),
+        "dataset_from_pairs": lambda n: dataset_from_pairs(
+            (text, k % 2 == 0) for k, text in enumerate(_grid_texts(n, 3))
+        ),
+    }
+    for name, build in builders.items():
+        build(5_000)  # leaves out one-time allocations
+        peaks = []
+        for n in (10_000, 40_000):
+            tracemalloc.start()
+            try:
+                assert len(build(n)) == n
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2**20 and max(peaks) <= 1.1 * min(peaks), (name, peaks)
 
 
 def test_dataset_reads_its_columns_through_score():
@@ -205,19 +213,23 @@ def test_dataset_reads_its_columns_through_score():
                 "float scores are not accepted; pass the decimal text instead "
                 f"(e.g. {shown} as a string)"
             )
-    with pytest.raises(TypeError, match=r"e\.g\. 0\.2 as"):  # the columns are read in turn
+    with pytest.raises(TypeError, match=r"e\.g\. 0\.2 as"):  # a bad positive is named first
         dataset_from_pairs([(0.1, False), (0.2, True)])
+    with pytest.raises(TypeError, match=r"e\.g\. 0\.3 as"):  # else the first bad negative
+        dataset_from_pairs([("1", True), (0.3, False), ("1/0", False), ("2", True)])
     d = Dataset(["0.5", "0.9"], ["1/2", "0.1"])
     assert d == Dataset((Fraction(1, 2), Fraction(9, 10)), (Fraction(1, 2), Fraction(1, 10)))
     r = run_report(d)
     assert (r.auc, r.pair_probability) == (Fraction(7, 8), Fraction(3, 4))
     ints = Dataset([1, 2], (0,))
-    assert (ints.positives, ints.negatives) == ((Fraction(1), Fraction(2)), (Fraction(0),))
-    assert {type(s) for s in ints.positives + ints.negatives} == {Fraction}
+    assert rows(ints.pos_tally) == (Fraction(1), Fraction(2))
+    assert rows(ints.neg_tally) == (Fraction(0),)
+    assert {type(s) for s in ints.pos_tally.scores + ints.neg_tally.scores} == {Fraction}
     with pytest.raises(ValueError, match="exceeds 20000 in magnitude"):
         Dataset(["1e-99999"], ["0"])
     half = Fraction(1, 2)
-    assert Dataset([half], [half]).negatives[0] is half  # a column of Fractions keeps its objects
+    # a column of Fractions keeps its objects
+    assert Dataset([half], [half]).neg_tally.scores[0] is half
 
 
 def test_four_element_construction():
@@ -238,7 +250,7 @@ def test_duplicates_count_with_multiplicity():
 def test_score_order_trichotomy(seed):
     rng = random.Random(seed)
     d = random_dataset(rng, max_size=12)
-    scores = d.positives + d.negatives
+    scores = rows(d.pos_tally) + rows(d.neg_tally)
     a, b = rng.choice(scores), rng.choice(scores)
     assert sum([a < b, a == b, a > b]) == 1
 

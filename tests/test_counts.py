@@ -31,7 +31,7 @@ from exactroc.pairwise import (
     pair_probability_sorted,
 )
 from exactroc.stieltjes import rate_step_function
-from oracles import fpr_at, left_limit, right_limit, tpr_at
+from oracles import fpr_at, left_limit, right_limit, rows, tpr_at
 
 DEN = 20  # every value k/20 has a terminating decimal expansion
 
@@ -48,7 +48,7 @@ def spellings(k: int) -> list[str]:
     ]
 
 
-rows = st.lists(
+text_rows = st.lists(
     st.tuples(st.integers(-6, 6), st.integers(0, 4), st.booleans()), min_size=2, max_size=40
 ).filter(lambda rs: len({pos for _, _, pos in rs}) == 2)
 
@@ -57,15 +57,16 @@ def _dedupe(points):
     return [p for i, p in enumerate(points) if i == 0 or points[i - 1] != p]
 
 
-@given(rows)
+@given(text_rows)
 @settings(max_examples=300)
 def test_table_views_match_raw_observation_oracles(rs):
     d = parse_input("".join(f"{spellings(k)[i]},{int(pos)}\n" for k, i, pos in rs))
     pos_scores = [Fraction(k, DEN) for k, _, pos in rs if pos]
     neg_scores = [Fraction(k, DEN) for k, _, pos in rs if not pos]
     n_pos, n_neg = len(pos_scores), len(neg_scores)
-    # the row views group equal texts, so only the multisets of rows are pinned
-    assert (sorted(d.positives), sorted(d.negatives)) == (sorted(pos_scores), sorted(neg_scores))
+    # a tally groups equal texts, so only the multisets of rows are pinned
+    assert sorted(rows(d.pos_tally)) == sorted(pos_scores)
+    assert sorted(rows(d.neg_tally)) == sorted(neg_scores)
     assert dataset_from_pairs((spellings(k)[i], pos) for k, i, pos in rs) == d
 
     t = d.counts
@@ -180,7 +181,7 @@ def test_the_tally_is_the_rows(rs, seed):
     for d in built:
         assert (d.n_pos, d.n_neg) == (len(pos), len(neg))
         assert sum(d.pos_tally.mult) == len(pos) and sum(d.neg_tally.mult) == len(neg)
-        assert (sorted(d.positives), sorted(d.negatives)) == (sorted(pos), sorted(neg))
+        assert (sorted(rows(d.pos_tally)), sorted(rows(d.neg_tally))) == (sorted(pos), sorted(neg))
         assert pair_probability_bruteforce(d) == pair_probability_sorted(d) == wins
         for tau in map(Fraction, ("-1", "-3/4", "0", "1/8", "1/4", "1/2", "3/4", "1", "2")):
             assert tpr_at(d, tau) == Fraction(sum(s >= tau for s in pos), len(pos))
@@ -214,6 +215,6 @@ def test_the_file_path_and_the_library_path_agree(rs):
     from_rows = dataset_from_pairs(rs)  # Fractions
     assert {type(s) for s in from_rows.counts.scores} == {Fraction}
     if any("/" not in s for s, _ in rs):
-        assert Decimal in {type(s) for s in from_file.positives + from_file.negatives}
+        assert Decimal in {type(s) for s in from_file.pos_tally.scores + from_file.neg_tally.scores}
     assert from_file == from_rows and hash(from_file) == hash(from_rows)
     assert _outputs(from_file) == _outputs(from_rows)

@@ -19,6 +19,7 @@ from exactroc.pairwise import (
     pair_probability_bruteforce,
 )
 from datagen import random_dataset
+from oracles import rows
 
 C = Fraction(7, 20)
 
@@ -118,7 +119,7 @@ def test_pair_quantities_invariant_under_increasing_transform(seed):
     rng = random.Random(seed)
     d = random_dataset(rng, max_size=40, force_tie=rng.random() < 0.5)
     mapped = Dataset(
-        map(_increasing_map, d.positives), map(_increasing_map, d.negatives)
+        map(_increasing_map, rows(d.pos_tally)), map(_increasing_map, rows(d.neg_tally))
     )
     assert pair_probability_fast(mapped) == pair_probability_fast(d)
     assert tie_report(mapped).correction == tie_report(d).correction

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from exactroc import Dataset, auc_trapezoid, roc_curve
 from exactroc.roc import RocCurve
 from datagen import random_dataset
-from oracles import fpr_at, tpr_at
+from oracles import fpr_at, rows, tpr_at
 
 C = Fraction(7, 20)
 
@@ -141,7 +141,7 @@ def test_rates_non_increasing_in_threshold(seed):
 def test_jumps_only_at_class_scores(seed):
     d = random_dataset(random.Random(seed), max_size=30)
     distinct = d.counts.scores
-    pos_scores, neg_scores = set(d.positives), set(d.negatives)
+    pos_scores, neg_scores = set(d.pos_tally.scores), set(d.neg_tally.scores)
     for i, tau in enumerate(distinct):
         # probe strictly between tau and the next distinct score
         probe = (tau + distinct[i + 1]) / 2 if i + 1 < len(distinct) else tau + 1
@@ -157,7 +157,7 @@ def _increasing_map(s: Fraction) -> Fraction:
 def test_auc_invariant_under_increasing_transform(seed):
     d = random_dataset(random.Random(seed), max_size=40)
     mapped = Dataset(
-        map(_increasing_map, d.positives), map(_increasing_map, d.negatives)
+        map(_increasing_map, rows(d.pos_tally)), map(_increasing_map, rows(d.neg_tally))
     )
     assert auc_trapezoid(roc_curve(mapped)) == auc_trapezoid(roc_curve(d))
 
@@ -168,7 +168,7 @@ def test_auc_bounds_and_perfect_separation(seed):
     d = random_dataset(random.Random(seed), max_size=30)
     a = auc_trapezoid(roc_curve(d))
     assert 0 <= a <= 1
-    assert (a == 1) == (min(d.positives) > max(d.negatives))
+    assert (a == 1) == (min(d.pos_tally.scores) > max(d.neg_tally.scores))
 
 
 @given(st.integers(0, 10**6))
