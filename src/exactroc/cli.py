@@ -18,7 +18,6 @@ import csv
 import io
 import os
 import sys
-from bisect import bisect_left
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -28,14 +27,10 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Literal, NoReturn
 
 from .contlab import LaplaceTieModel, jump_certificate, sample
-from .core import Dataset, DegenerateClassesError, Rational, Score, Tally, _Frozen, read_score
-from .pairwise import (
-    TieReport,
-    hypothesis_holds,
-    pair_probability_fast,
-    pair_probability_sorted,
-    tie_report,
+from .core import (
+    Dataset, DegenerateClassesError, Rational, Score, Tally, _Frozen, read_score, sorted_exact
 )
+from .pairwise import TieReport, hypothesis_holds, pair_probability_fast, tie_report
 from .roc import RocCurve, auc_trapezoid, roc_curve
 from .stieltjes import integrate, negative_differential, rate_step_function
 
@@ -148,9 +143,9 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
     Each chunk is added to one count of raw lines, in C, and only the lines new to that
     count are parsed. So each class is a tally with one tally entry per distinct raw
     line, and memory follows the distinct lines, not the rows: 1e6 rows on a 3-decimal
-    grid, about 2,000 distinct lines, parse in about 0.25 s in process. Each distinct
-    stripped score text is read once. Raises ParseError at the first failing line, or
-    DegenerateClassesError when only one class is present.
+    grid, about 2,000 distinct lines, parse in about 0.25 s in process. A score text is
+    read once for each distinct line it is on. Raises ParseError at the first failing
+    line, or DegenerateClassesError when only one class is present.
     """
     if fmt not in _DELIMITERS:
         raise ValueError(f"fmt must be 'csv' or 'tsv', not {fmt!r}")
@@ -170,7 +165,6 @@ class _ParseState:
         self.delimiter = delimiter
         self.counts: Counter[str] = Counter()  # raw line -> rows
         self.classes: tuple[dict, dict] = {}, {}  # negatives, positives: a data line -> score
-        self.scores: dict[str, Score] = {}  # stripped score text -> its value, read once
         self.first_data_row = True
         self.header: tuple[str, str] | None = None  # its raw line, and the error it recurs as
 
@@ -185,9 +179,8 @@ class _ParseState:
             raise ValueError(f"expected 2 fields, got {len(row)}")
         score_text, label_text = row[0].strip(), row[1].strip()
         label = _LABELS.get(label_text.lower())
-        scores = self.scores
         try:
-            value = scores[score_text] if score_text in scores else read_score(score_text)
+            value = read_score(score_text)
         except (ValueError, ZeroDivisionError):
             error = f"cannot read score {score_text!r}"
             if not self.first_data_row or label is not None:
@@ -196,7 +189,7 @@ class _ParseState:
         else:
             if label is None:
                 raise ValueError(f"cannot read label {label_text!r}")
-            self.classes[label][line] = scores[score_text] = value
+            self.classes[label][line] = value
         self.first_data_row = False
 
     def count_chunk(self, chunk: list[str], done: int) -> None:
@@ -369,12 +362,12 @@ def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
 def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     """Run every exact identity on one dataset; (name, passed, detail) rows.
 
-    The last row, built first, certifies the count table against the class tallies.
-    If a stage's validator refuses what it read from a table that row rejects, the
-    other rows have no value to compare and fail with the validator's message; a
-    certified table that a validator refuses is a bug in that stage, and raises.
+    The third row and the last, the count table's certificate, come first, from the class
+    tallies alone (`_tally_side`). If a stage's validator refuses what it read from a table
+    the last row rejects, the other rows have no value to compare and fail with the
+    validator's message. A certified table that a validator refuses is a stage bug: it raises.
     """
-    table_row = _count_table_row(d)
+    table_row, wins = _tally_side(d)
     try:
         e = _evaluate(d)
     except ValueError as error:
@@ -385,40 +378,46 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
         rows.insert(2, (_MERGE_ROW, False, failed))
     else:
         rows = _identities(e)
-        rows.insert(2, _equal(_MERGE_ROW, e.pair_probability, pair_probability_sorted(d)))
+        rows.insert(2, _equal(_MERGE_ROW, e.pair_probability, Fraction(wins, d.n_pos * d.n_neg)))
     return [*rows, table_row]
 
 
-def _count_table_row(d: Dataset) -> tuple[str, bool, str]:
-    """The count table against a tally of each class by value, column by column.
+def _tally_side(d: Dataset) -> tuple[tuple[str, bool, str], int]:
+    """`check`'s side apart from the count table: the table's certificate row, and the wins W.
 
-    It shares no code with `Dataset.counts`: d-1 exact comparisons check the order,
-    and its own sums check the running counts. Its detail names each wrong column.
+    Each class tally is sorted on its own and each run of equal neighbours summed by ==, so
+    one value on two raw lines, or a Decimal and an equal Fraction, is one run. The row wants
+    increasing scores (its own d-1 comparisons), each class's runs equal to its column's
+    non-zero pairs in score order (so a swapped score names only the classes it moves), and
+    running counts from the column and the class size. W, the pairs with the positive strictly
+    above, is one two-pointer pass over the runs.
     """
     t = d.counts
     wrong = [] if all(a < b for a, b in zip(t.scores, t.scores[1:])) else ["scores"]
-    # A score finds its table row by value: a Decimal hashed in C, a Fraction by its integer
-    # ratio, so no Fraction is hashed. One whose row holds the other type (`0.35` and `7/20`
-    # in one file) is found by bisection; one with no row counts in the extra last slot.
-    def key(s: Score) -> object:
-        return s if isinstance(s, Decimal) else s.as_integer_ratio()
-
-    row_of = {key(s): k for k, s in enumerate(t.scores)}
+    order = sorted_exact if wrong else list  # increasing scores leave each column sorted
+    runs: list[list[tuple]] = []  # each class's [(score, count)], ascending
     classes = ("pos", d.pos_tally, t.pos, t.pos_ge), ("neg", d.neg_tally, t.neg, t.neg_ge)
-    for name, (scores, mult), per, ge in classes:
-        tally = [0] * (len(t.scores) + 1)
-        for s, c in zip(scores, mult):
-            k = row_of.get(key(s))
-            if k is None:
-                k = bisect_left(t.scores, s)
-                k = k if k < len(t.scores) and t.scores[k] == s else -1
-            tally[k] += c
-        if tuple(tally) != (*per, 0):
+    for name, tally, per, ge in classes:
+        merged: list[tuple] = []
+        for s, c in sorted_exact(zip(*tally)):
+            if merged and merged[-1][0] == s:
+                merged[-1] = (s, merged[-1][1] + c)
+            else:
+                merged.append((s, c))
+        column = order((s, c) for s, c in zip(t.scores, per) if c)
+        if len(per) != len(t.scores) or merged != column:
             wrong.append(name)
-        if ge[:1] != (sum(mult),) or tuple(a - b for a, b in zip(ge, ge[1:])) != per:
+        if ge[:1] != (sum(tally.mult),) or tuple(a - b for a, b in zip(ge, ge[1:])) != per:
             wrong.append(f"{name}_ge")
+        runs.append(merged)
+    (positives, negatives), wins, below, i = runs, 0, 0, 0
+    for p, a in positives:
+        while i < len(negatives) and negatives[i][0] < p:
+            below += negatives[i][1]
+            i += 1
+        wins += a * below
     detail = f"distinct scores {len(t.scores)}" + "".join(f", {c} disagrees" for c in wrong)
-    return "count table = tally of the raw columns", not wrong, detail
+    return ("count table = tally of the raw columns", not wrong, detail), wins
 
 
 def _load(args: argparse.Namespace) -> Dataset:

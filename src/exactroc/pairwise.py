@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .core import Dataset, Rational, Score, sorted_exact
+from .core import Dataset, Rational, Score
 
 
 class SharedScore(NamedTuple):
@@ -43,30 +43,11 @@ def pair_probability_bruteforce(d: Dataset) -> Rational:
 
     Deliberately naive: the test suite's oracle for the count-table path. Each pair of
     tally entries counts the product of their multiplicities. `check` never runs it,
-    since it makes one comparison per pair of entries; its pair count is the sorted merge.
+    since it makes one comparison per pair of entries; its pair count walks the two class
+    tallies, each sorted and merged by value (`cli._tally_side`).
     """
     (ps, pm), (ns, nm) = d.pos_tally, d.neg_tally
     wins = sum(a * b for p, a in zip(ps, pm) for q, b in zip(ns, nm) if p > q)
-    return Fraction(wins, d.n_pos * d.n_neg)
-
-
-def pair_probability_sorted(d: Dataset) -> Rational:
-    """Same value as the brute-force count, by merging the two sorted class tallies.
-
-    Reads only the two tallies, never the count table, so it is an independent
-    oracle, and it runs in O(e log e) comparisons for e tally entries, whatever the
-    number of rows. Each tally is sorted on its own in exact order; then for each
-    positive entry, ascending, the pointer advances past every negative entry
-    strictly below it, and the negatives passed so far, times the entry's
-    multiplicity, are its wins.
-    """
-    negatives = sorted_exact(zip(*d.neg_tally))
-    wins = below = i = 0
-    for p, a in sorted_exact(zip(*d.pos_tally)):
-        while i < len(negatives) and negatives[i][0] < p:
-            below += negatives[i][1]
-            i += 1
-        wins += a * below
     return Fraction(wins, d.n_pos * d.n_neg)
 
 

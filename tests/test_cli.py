@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,7 +178,7 @@ def test_parse_input_rejects_an_unknown_format():
 
 
 def _parse_row_by_row(text):
-    """parse_input without its memo: every row is checked, stripped and read afresh.
+    """parse_input without its count of raw lines: every row is checked, stripped and read.
 
     A record that csv reads over more than one line is refused at its first line. An
     empty line is read after the text, so a quote left open on its last line runs on too.
@@ -262,7 +263,12 @@ def test_parse_input_error_lines_after_memo_hits(text, line, message):
     assert _outcome(_parse_row_by_row, text) == ("ParseError", line, str(exc.value))
 
 
-def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
+def _score_texts(text):
+    """The stripped score text of each distinct line of `text`, as csv reads the line."""
+    return sorted(row[0].strip() for row in csv.reader(set(text.splitlines(keepends=True))))
+
+
+def test_parse_input_reads_each_distinct_data_line_once(monkeypatch):
     import exactroc.cli as cli_module
 
     calls = []
@@ -281,11 +287,14 @@ def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
     text = "".join(f"{rng.choice(spellings)},{rng.choice(labels)}\n" for _ in range(10_000))
     d = parse_input(text)
     assert len(d) == 10_000
-    assert sorted(calls) == sorted(["0.5", "0.50", "1/2", "0.25", "-3", "1e-3", "7/20"])
+    # one read per distinct line, not per row or per text: 11 spellings times 4 labels
+    assert len(calls) == len(set(text.splitlines())) == 44
+    assert sorted(calls) == _score_texts(text)
     halves = parse_input(' 0.5,1\n"0.5",0\n0.5,1\n0.5 ,0\n')
-    assert len({id(s) for s in halves.pos_tally.scores + halves.neg_tally.scores}) == 1
+    assert len(calls) == 44 + 4  # one read for each of the four distinct lines
+    assert halves.counts[:3] == ((Fraction(1, 2),), (2,), (2,))  # merged into one row
     # Every chunk is counted as raw lines, and a line new to the count is read through
-    # csv, whichever chunk it falls in. Each stripped text is still read once.
+    # csv, whichever chunk it falls in. Each distinct line is still read once.
     unquoted = [s for s in spellings if '"' not in s]
     rows = [f"{rng.choice(unquoted)},{rng.choice(labels)}\n" for _ in range(10_000)]
     rows[5_000] = '"0.5",1\n'
@@ -293,7 +302,7 @@ def test_parse_input_reads_each_distinct_score_text_once(monkeypatch):
         monkeypatch.setattr(cli_module, "_CHUNK_LINES", size)
         calls.clear()
         assert len(parse_input("".join(rows))) == 10_000
-        assert sorted(calls) == sorted(["0.5", "0.50", "1/2", "0.25", "-3", "1e-3", "7/20"])
+        assert sorted(calls) == _score_texts("".join(rows))
 
 
 CHUNK_SIZES = [1, 2, 3, 1024]
@@ -939,12 +948,44 @@ CHECK_OK = {
     ],
 }
 
+# MIXED_CSV with 1/2 moved to one value written 0.35 for a positive and 7/20 for a negative:
+# its table row holds the positive's Decimal, and the negatives' tally a Fraction.
+MIXED_TYPES_CSV = "0.35,1\n0.9,1\n7/20,0\n0.1,0\n"
+CHECK_OK[MIXED_TYPES_CSV] = CHECK_OK[MIXED_CSV]  # the same counts, so the same rows
+
 
 def test_main_check_prints_every_row_name_and_detail(tmp_path, capsys):
     for text, lines in CHECK_OK.items():
         path = _write(tmp_path, "d.csv", text)
         assert main(["check", "--input", path]) == 0
         assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    ("fault", "detail"),
+    [
+        (lambda t: t._replace(pos=(1, 0, 1)), "pos disagrees, pos_ge disagrees"),
+        (lambda t: t._replace(neg=(2, 0, 0)), "neg disagrees, neg_ge disagrees"),
+    ],
+    ids=["move-pos", "move-neg"],
+)
+def test_main_check_names_a_corrupt_column_of_mixed_score_types(
+    tmp_path, capsys, monkeypatch, fault, detail
+):
+    table = Dataset.counts.func
+
+    def corrupt(d):
+        t = table(d)
+        assert t[1:3] == ((0, 1, 1), (1, 1, 0)) and isinstance(t.scores[1], Decimal)
+        assert [type(s) for s in d.neg_tally.scores] == [Fraction, Decimal]
+        return fault(t)
+
+    monkeypatch.setattr(Dataset, "counts", property(corrupt))
+    path = _write(tmp_path, "d.csv", MIXED_TYPES_CSV)
+    assert main(["check", "--input", path]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[6] == f"FAIL  count table = tally of the raw columns (distinct scores 3, {detail})"
 
 
 @pytest.mark.parametrize(

@@ -23,13 +23,9 @@ from exactroc import (
     roc_curve,
     tie_report,
 )
-from exactroc.cli import emit_report, identity_suite, main, run_report
+from exactroc.cli import _tally_side, emit_report, identity_suite, main, run_report
 from exactroc.core import Tally
-from exactroc.pairwise import (
-    hypothesis_holds,
-    pair_probability_bruteforce,
-    pair_probability_sorted,
-)
+from exactroc.pairwise import hypothesis_holds, pair_probability_bruteforce
 from exactroc.stieltjes import rate_step_function
 from oracles import fpr_at, left_limit, right_limit, rows, tpr_at
 
@@ -51,6 +47,12 @@ def spellings(k: int) -> list[str]:
 text_rows = st.lists(
     st.tuples(st.integers(-6, 6), st.integers(0, 4), st.booleans()), min_size=2, max_size=40
 ).filter(lambda rs: len({pos for _, _, pos in rs}) == 2)
+
+
+def merged_pair_probability(d):
+    """W / (n_pos * n_neg), with the wins W that `check` counts from the two sorted class
+    tallies, apart from the count table."""
+    return Fraction(_tally_side(d)[1], d.n_pos * d.n_neg)
 
 
 def _dedupe(points):
@@ -81,7 +83,7 @@ def test_table_views_match_raw_observation_oracles(rs):
     )
 
     assert pair_probability_fast(d) == pair_probability_bruteforce(d)
-    assert pair_probability_sorted(d) == pair_probability_bruteforce(d)
+    assert merged_pair_probability(d) == pair_probability_bruteforce(d)
 
     shared = sorted(set(pos_scores) & set(neg_scores))
     r = tie_report(d)
@@ -142,7 +144,7 @@ def test_scores_past_the_float_range_keep_their_exact_order(tmp_path, capsys):
 )
 def test_sorted_merge_oracle_where_float_order_is_not_exact_order(pos, neg):
     d = Dataset(pos, neg)
-    assert pair_probability_sorted(d) == pair_probability_bruteforce(d)
+    assert merged_pair_probability(d) == pair_probability_bruteforce(d)
 
 
 # One value under several spellings, next to a few others, so rows tie within a class,
@@ -182,18 +184,19 @@ def test_the_tally_is_the_rows(rs, seed):
         assert (d.n_pos, d.n_neg) == (len(pos), len(neg))
         assert sum(d.pos_tally.mult) == len(pos) and sum(d.neg_tally.mult) == len(neg)
         assert (sorted(rows(d.pos_tally)), sorted(rows(d.neg_tally))) == (sorted(pos), sorted(neg))
-        assert pair_probability_bruteforce(d) == pair_probability_sorted(d) == wins
+        assert pair_probability_bruteforce(d) == merged_pair_probability(d) == wins
         for tau in map(Fraction, ("-1", "-3/4", "0", "1/8", "1/4", "1/2", "3/4", "1", "2")):
             assert tpr_at(d, tau) == Fraction(sum(s >= tau for s in pos), len(pos))
             assert fpr_at(d, tau) == Fraction(sum(s >= tau for s in neg), len(neg))
 
 
-def test_parse_input_keeps_one_tally_entry_per_score_text():
+def test_parse_input_keeps_one_tally_entry_per_data_line():
     d = parse_input("0.5,1\n1/2,1\n0.5,1\n0.5,0\n 0.5,0\n0.1,0\n")
     assert d.pos_tally == Tally((Fraction(1, 2), Fraction(1, 2)), (2, 1))
     assert d.neg_tally == Tally((Fraction(1, 2), Fraction(1, 2), Fraction(1, 10)), (1, 1, 1))
-    # " 0.5" and "0.5" share one score object; the count table merges all four entries
-    assert d.neg_tally.scores[0] is d.neg_tally.scores[1]
+    # " 0.5,0" and "0.5,0" are two entries, each its score read from its own line, equal
+    # in value; the count table merges all four entries of 1/2 into one row
+    assert d.neg_tally.scores[0] == d.neg_tally.scores[1] == Decimal("0.5")
     assert d.counts[:3] == ((Fraction(1, 10), Fraction(1, 2)), (0, 3), (1, 2))
 
 
