@@ -226,9 +226,12 @@ class _ParseState:
 
     def dataset(self) -> Dataset:
         """Each class as a tally of its lines' scores and counts, in first-seen order."""
-        count = self.counts.__getitem__
-        neg, pos = (Tally(tuple(c.values()), tuple(map(count, c))) for c in self.classes)
-        return Dataset(pos, neg)
+        count, tallies = self.counts.__getitem__, []
+        for c in self.classes:  # each class dict is freed once tallied, the line count after
+            tallies.append(Tally(tuple(c.values()), tuple(map(count, c))))
+            c.clear()
+        self.counts.clear()
+        return Dataset(*reversed(tallies))
 
 
 def run_report(d: Dataset) -> RocReport:
@@ -330,33 +333,24 @@ def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
         f'fill="white" stroke="black" stroke-width="1"/>',
     ]
     for t, label in ticks:
-        parts.append(
+        parts += [
             f'<line x1="{fx(t):.2f}" y1="{fy(0):.2f}" x2="{fx(t):.2f}" '
-            f'y2="{fy(0) + 6:.2f}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{fy(0) + 6:.2f}" stroke="black"/>',
             f'<line x1="{fx(0):.2f}" y1="{fy(t):.2f}" x2="{fx(0) - 6:.2f}" '
-            f'y2="{fy(t):.2f}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{fy(t):.2f}" stroke="black"/>',
             f'<text x="{fx(t):.2f}" y="{fy(0) + 18:.2f}" font-size="11" '
-            f'text-anchor="middle">{label}</text>'
-        )
-        parts.append(
+            f'text-anchor="middle">{label}</text>',
             f'<text x="{fx(0) - 9:.2f}" y="{fy(t) + 4:.2f}" font-size="11" '
-            f'text-anchor="end">{label}</text>'
-        )
+            f'text-anchor="end">{label}</text>',
+        ]
     parts.append(
         f'<line x1="{fx(0):.2f}" y1="{fy(0):.2f}" x2="{fx(1):.2f}" y2="{fy(1):.2f}" '
         f'stroke="gray" stroke-dasharray="4 3"/>'
     )
     f, t = c.neg_ge, c.pos_ge  # a / n of two ints is the exact rate, rounded once to a float
     coords = " ".join(f"{fx(a / f[0]):.2f},{fy(b / t[0]):.2f}" for a, b in zip(f, t))
-    parts.append(
-        f'<polyline points="{coords}" fill="none" stroke="crimson" stroke-width="2"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(f'<polyline points="{coords}" fill="none" stroke="crimson" stroke-width="2"/>')
+    return "\n".join(parts) + "\n</svg>\n"
 
 
 def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:

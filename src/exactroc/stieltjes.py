@@ -8,8 +8,9 @@ function against an atomic measure is a finite sum. Which value of the
 integrand is used at the atoms is an explicit parameter with two choices:
 the balanced (midpoint) value reproduces the trapezoidal area, the right
 limit reproduces the strict pair probability, and the two agree whenever no
-atom sits on a jump of the integrand. Breakpoints and atom locations are
-scores, so the walk compares them in C when they are Decimals.
+atom sits on a jump of the integrand: `integrate` sums the atoms off every
+jump once for both, and reads the variant only at atoms on a jump. Breakpoints
+and atom locations are scores, compared in C when they are Decimals.
 """
 
 from __future__ import annotations
@@ -96,20 +97,23 @@ def integrate(variant: LimitVariant, g: StepFunction, m: AtomicMeasure) -> Ratio
     """sum over atoms (a, w) of w * g_variant(a), exact.
 
     Atoms and breakpoints both ascend, so one forward walk finds each atom's
-    place among the breakpoints: `i` is where `bisect_left` would put the
-    atom, and the atom sits on a jump iff breakpoints[i] equals it. The terms
-    are those of the pointwise `right_limit` and `balanced` of tests/oracles.py.
+    place `i` among the breakpoints, where `bisect_left` would put it. Off a
+    jump both limits are values[i]: one term of `flat`, for either variant.
+    On one (breakpoints[i] equals the atom) the right limit is values[i + 1],
+    and balanced sums both sides into `jumps`, halved once at the end. The
+    terms are those of the pointwise `right_limit` and `balanced` of tests/oracles.py.
     """
     if variant not in ("right", "balanced"):
         raise ValueError(f"variant must be 'right' or 'balanced', not {variant!r}")
     balanced = variant == "balanced"
-    bps, values = g.breakpoints, g.values
-    left = right = Fraction(0)
+    bps, values, n = g.breakpoints, g.values, len(g.breakpoints)
+    flat = jumps = Fraction(0)
     i = 0
     for a, w in m.atoms:
-        while i < len(bps) and bps[i] < a:
+        while i < n and bps[i] < a:
             i += 1
-        if balanced:
-            left += w * values[i]
-        right += w * values[i + 1 if i < len(bps) and bps[i] == a else i]
-    return (left + right) / 2 if balanced else right
+        if i < n and bps[i] == a:
+            jumps += w * (values[i] + values[i + 1] if balanced else values[i + 1])
+        else:
+            flat += w * values[i]
+    return flat + jumps / 2 if balanced else flat + jumps

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,35 @@ def test_balanced_integral_equals_trapezoidal_area(seed):
     assert integrate("balanced", t, m) == auc_trapezoid(roc_curve(d))
     for variant, pointwise in (("right", right_limit), ("balanced", balanced)):
         assert integrate(variant, t, m) == sum(w * pointwise(t, a) for a, w in m.atoms)
+
+
+@st.composite
+def step_function_and_measure(draw):
+    """Any step function and atomic measure, not a rate function and its own differential.
+
+    Breakpoints sit on the half grid of [-4, 4] and atoms on the quarter grid of [-5, 5],
+    so an atom falls left of, on, between or right of the breakpoints. Values and weights
+    are drawn apart from each other and from the grid; atoms may be Decimals.
+    """
+    bps = [Fraction(k, 2) for k in sorted(draw(st.sets(st.integers(-8, 8), max_size=6)))]
+    rational = st.fractions(min_value=-5, max_value=5, max_denominator=40)
+    values = draw(st.sets(rational, min_size=len(bps) + 1, max_size=len(bps) + 1))
+    locs = sorted(draw(st.sets(st.integers(-20, 20), max_size=12)))
+    as_decimal = draw(st.booleans())
+    weight = st.fractions(min_value=Fraction(1, 97), max_value=3, max_denominator=97)
+    atoms = [(Decimal(j) / 4 if as_decimal else Fraction(j, 4), draw(weight)) for j in locs]
+    return (
+        StepFunction(breakpoints=tuple(bps), values=tuple(sorted(values, reverse=True))),
+        AtomicMeasure(atoms=tuple(atoms)),
+    )
+
+
+@given(step_function_and_measure())
+@settings(max_examples=300)
+def test_integrate_is_the_pointwise_sum_for_any_step_function_and_measure(gm):
+    g, m = gm
+    for variant, pointwise in (("right", right_limit), ("balanced", balanced)):
+        assert integrate(variant, g, m) == sum(w * pointwise(g, a) for a, w in m.atoms)
 
 
 @given(st.integers(0, 10**6))
