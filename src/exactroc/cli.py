@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import os
 import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat, starmap, tee
 from math import gcd
+from operator import floordiv
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Literal, NoReturn
+from typing import Callable, Iterable, Iterator, Literal, NoReturn, Sequence
 
 from .contlab import LaplaceTieModel, jump_certificate, sample
 from .core import (
@@ -38,6 +40,7 @@ _LABELS = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "fals
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 _MIN_WIDTH_PX = 64  # the narrowest SVG canvas, for emit_curve_svg and `curve --width`
 _CHUNK_LINES = 1024  # lines parse_input counts at once: its extra memory follows this
+_WRITE_PIECES = 256  # report pieces joined into one write: few writes, yet no large string
 _SPANS = "quoted field spans lines"  # a line whose quoted field does not close on it
 
 
@@ -239,15 +242,23 @@ def run_report(d: Dataset) -> RocReport:
     return RocReport(**vars(_evaluate(d)))
 
 
-def _frac(num: int | Score, den: int = 1) -> str:
-    """num / den in lowest terms, as text; num is a count or an exact value, den > 0."""
-    num, d = num.as_integer_ratio()  # coprime already
-    g = gcd(num, den)
-    den *= d
+def _frac(q: Score) -> str:
+    """An exact value in lowest terms, as num/den text."""
+    num, den = q.as_integer_ratio()  # coprime already
     try:
-        return f"{num // g}/{den // g}"
+        return f"{num}/{den}"
     except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
-        return f"{Decimal(num // g)}/{Decimal(den // g)}"
+        return f"{Decimal(num)}/{Decimal(den)}"
+
+
+def _fracs(nums: Sequence[int], den: int) -> Iterator[str]:
+    """Each count in nums over den > 0 in lowest terms, as num/den text, in C-level maps.
+
+    A count is at most its class size den, whose digits `str` already prints, so the
+    text needs no Decimal fallback.
+    """
+    g, g_again = tee(map(gcd, nums, repeat(den)))
+    return map("{}/{}".format, map(floordiv, nums, g), map(floordiv, repeat(den), g_again))
 
 
 def _dec17(q: Rational) -> str:
@@ -270,7 +281,8 @@ def emit_report(r: RocReport, mode: Literal["json", "text"] = "json") -> str:
 def _report_pieces(r: RocReport, mode: Literal["json", "text"]) -> Iterator[str]:
     """emit_report's text in pieces, in order; JSON laid out exactly as json.dumps(indent=2).
 
-    Its strings all come from _frac or _dec17, whose characters ([0-9+-./E]) need no escaping.
+    Its strings all come from _frac, _fracs or _dec17, whose characters ([0-9+-./E]) need no
+    escaping.
     """
     exact = {
         "auc": r.auc,
@@ -278,9 +290,10 @@ def _report_pieces(r: RocReport, mode: Literal["json", "text"]) -> Iterator[str]
         "tie_correction": r.tie.correction,
         "tie_bound": r.tie.bound,
     }
-    shared = ((_frac(s), _frac(p, r.n_pos), _frac(n, r.n_neg)) for s, p, n in r.tie.shared_scores)
+    scores, pos, neg = tuple(zip(*r.tie.shared_scores)) or ((), (), ())  # its columns
+    shared = zip(map(_frac, scores), _fracs(pos, r.n_pos), _fracs(neg, r.n_neg))
     f, t = r.curve.neg_ge, r.curve.pos_ge  # each vertex's two counts over the class sizes
-    curve = ((_frac(a, f[0]), _frac(b, t[0])) for a, b in zip(f, t))
+    curve = zip(_fracs(f, f[0]), _fracs(t, t[0]))
     holds = str(r.hypothesis_holds).lower()
     if mode == "json":
         yield f'{{\n  "n_pos": {r.n_pos},\n  "n_neg": {r.n_neg},\n  "hypothesis_holds": {holds},\n'
@@ -304,11 +317,14 @@ def _report_pieces(r: RocReport, mode: Literal["json", "text"]) -> Iterator[str]
 
 def _json_array(head: str, item: str, rows: Iterable[tuple[str, ...]]) -> Iterator[str]:
     """`head`, then the rows as an array at depth 1 of json.dumps(indent=2), each as `item`."""
-    opening = f"{head}["
-    for row in rows:
-        yield f"{opening}\n    " + item.format(*row)
-        opening = ","
-    yield "\n  ]" if opening == "," else f"{opening}]"
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        yield f"{head}[]"
+        return
+    yield f"{head}[\n    " + item.format(*first)
+    yield from starmap((",\n    " + item).format, rows)
+    yield "\n  ]"
 
 
 def emit_curve_svg(c: RocCurve, width_px: int = 480) -> str:
@@ -423,7 +439,9 @@ def _load(args: argparse.Namespace) -> Dataset:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report = run_report(_load(args))  # every identity is checked before the first byte
-    sys.stdout.writelines(_report_pieces(report, args.output))
+    pieces = _report_pieces(report, args.output)
+    while chunk := list(islice(pieces, _WRITE_PIECES)):  # one write each, unbuffered or not
+        sys.stdout.write("".join(chunk))
     return 0
 
 
@@ -532,6 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler: Callable[[argparse.Namespace], int] = args.func
+    # A command leaves the same few cycles, argparse's, whatever its input: collecting
+    # would find nothing more, so the collector is off until it returns.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handler(args)
     except BrokenPipeError:  # the reader stopped early: not an input error, and no traceback
@@ -546,3 +568,6 @@ def main(argv: list[str] | None = None) -> int:
     except (IdentityError, ValueError) as e:  # input ValueErrors are all caught above
         print(f"internal error: {e}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()

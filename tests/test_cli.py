@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import importlib
 import io
 import itertools
@@ -878,6 +879,100 @@ def test_main_report_into_a_closed_pipe_exits_141_quietly(tmp_path, output):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+class _Writes:
+    """A stdout that keeps each string written to it."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_main_report_writes_its_pieces_a_few_hundred_at_a_time(tmp_path, monkeypatch, output):
+    # With stdout unbuffered, a write per piece is a system call per curve vertex
+    text = "".join(f"{i}/7919,{i % 2}\n" for i in range(6000))
+    path = _write(tmp_path, "d.csv", text)
+    r = run_report(parse_input(text))
+    assert len(r.curve.neg_ge) > 5000
+    pieces = sum(1 for _ in cli_module._report_pieces(r, output))
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["report", "--input", path, "--output", output]) == 0
+    whole = "".join(stdout.writes)
+    assert whole == emit_report(r, output)
+    assert len(stdout.writes) <= math.ceil(pieces / 256)
+    assert max(map(len, stdout.writes)) <= len(whole) / 10  # never the report as one string
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: each write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.fixture
+def collector_state():
+    """Leaves the cyclic collector as enabled or disabled as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "case, code",
+    [("ok", 0), ("usage", 1), ("parse", 1), ("one class", 2), ("identity", 3), ("closed pipe", 141)],
+)
+def test_main_restores_the_collectors_state(
+    tmp_path, capsys, monkeypatch, collector_state, enabled, case, code
+):
+    text = {"parse": "0.5,maybe\n", "one class": "0.5,1\n0.7,1\n"}.get(case, MIXED_CSV)
+    argv = ["report", "--input", _write(tmp_path, "d.csv", text)]
+    if case == "identity":
+        monkeypatch.setattr(cli_module, "auc_trapezoid", lambda curve: Fraction(0))
+    with open(tmp_path / "sink", "w") as sink:  # main points its descriptor at /dev/null
+        if case == "closed pipe":
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        (gc.enable if enabled else gc.disable)()
+        if case == "usage":
+            with pytest.raises(SystemExit) as exc:
+                main(argv[:1])
+            assert exc.value.code == code
+        else:
+            assert main(argv) == code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("command", ["report", "check", "curve"])
+def test_main_leaves_the_same_cyclic_garbage_for_any_input(tmp_path, collector_state, command):
+    # What main builds from its input holds no cycle, so running it with the collector
+    # off leaves no more garbage on 10k rows than on 10: argparse's parser graph alone.
+    def garbage(n):
+        path = tmp_path / f"{n}.csv"
+        path.write_text("".join(_distinct_lines(n)), encoding="utf-8")
+        argv = [command, "--input", str(path)] + ["--svg", str(tmp_path / "c.svg")] * (
+            command == "curve"
+        )
+        gc.collect()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        return gc.collect()
+
+    gc.disable()
+    garbage(10)  # leaves out what the first call caches
+    assert garbage(10) == garbage(10_000)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
