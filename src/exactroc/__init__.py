@@ -15,7 +15,8 @@ point, and samples the exact engine counts) from `exactroc.contlab`.
 from .core import Dataset, DegenerateClassesError, dataset_from_pairs
 from .roc import auc_trapezoid, roc_curve
 from .pairwise import pair_probability_fast, tie_report
-from .cli import IdentityError, ParseError, emit_report, identity_suite, parse_input, run_report
+from .parse import ParseError, parse_input
+from .cli import IdentityError, emit_report, identity_suite, run_report
 
 __version__ = "0.1.0"
 

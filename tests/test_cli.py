@@ -32,6 +32,7 @@ from exactroc import (
     run_report,
 )
 import exactroc.cli as cli_module
+import exactroc.parse as parse_module
 from exactroc.cli import RocReport, emit_curve_svg, main
 from exactroc.contlab import MAX_SAMPLES, LaplaceTieModel, sample
 from exactroc.core import Dataset
@@ -272,16 +273,14 @@ def _score_texts(text):
 
 
 def test_parse_input_reads_each_distinct_data_line_once(monkeypatch):
-    import exactroc.cli as cli_module
-
     calls = []
-    score = cli_module.read_score
+    score = parse_module.read_score
 
     def counting_score(text):
         calls.append(text)
         return score(text)
 
-    monkeypatch.setattr(cli_module, "read_score", counting_score)
+    monkeypatch.setattr(parse_module, "read_score", counting_score)
     rng = random.Random(0)
     spellings = [
         "0.5", " 0.5", '"0.5"', "0.5 ", "0.50", "1/2", "0.25", " 0.25", "-3", "1e-3", "7/20"
@@ -302,7 +301,7 @@ def test_parse_input_reads_each_distinct_data_line_once(monkeypatch):
     rows = [f"{rng.choice(unquoted)},{rng.choice(labels)}\n" for _ in range(10_000)]
     rows[5_000] = '"0.5",1\n'
     for size in (7, 1024):
-        monkeypatch.setattr(cli_module, "_CHUNK_LINES", size)
+        monkeypatch.setattr(parse_module, "_CHUNK_LINES", size)
         calls.clear()
         assert len(parse_input("".join(rows))) == 10_000
         assert sorted(calls) == _score_texts("".join(rows))
@@ -343,7 +342,7 @@ def test_parse_input_chunks_change_nothing(header, rows):
     expected = _outcome(_parse_row_by_row, text)
     with pytest.MonkeyPatch.context() as patch:
         for size in CHUNK_SIZES:
-            patch.setattr(cli_module, "_CHUNK_LINES", size)
+            patch.setattr(parse_module, "_CHUNK_LINES", size)
             for source in (text, io.StringIO(text), iter(text.splitlines(keepends=True))):
                 assert _outcome(parse_input, source) == expected, (size, type(source))
 
@@ -388,7 +387,7 @@ def test_parse_input_refuses_at_the_first_failing_line(text, line, message):
     assert _outcome(_parse_row_by_row, text) == expected
     with pytest.MonkeyPatch.context() as patch:
         for size in CHUNK_SIZES:
-            patch.setattr(cli_module, "_CHUNK_LINES", size)
+            patch.setattr(parse_module, "_CHUNK_LINES", size)
             for source in (text, iter(text.splitlines(keepends=True))):
                 assert _outcome(parse_input, source) == expected, size
 
@@ -410,13 +409,13 @@ def test_parse_input_reads_each_distinct_line_once_quoted_or_not(monkeypatch):
         '"score","label"\n' + "".join(f'{s},"{c}"\n' for s, c in grid),
     ]
     lines = []
-    read_row = cli_module._ParseState.read_row
+    read_row = parse_module._ParseState.read_row
 
     def spy(self, line, row):
         lines.append(line)
         return read_row(self, line, row)
 
-    monkeypatch.setattr(cli_module._ParseState, "read_row", spy)
+    monkeypatch.setattr(parse_module._ParseState, "read_row", spy)
     tallies = []
     for text in twins:
         lines.clear()
@@ -775,6 +774,90 @@ def test_main_reads_a_byte_order_mark_before_the_first_data_row(tmp_path, capsys
     for output in ("json", "text"):
         assert main(["report", "--input", str(path), "--output", output]) == 0
         assert capsys.readouterr().out == emit_report(r, output)
+
+
+def test_parse_input_drops_one_leading_byte_order_mark():
+    plain = parse_input("0.5,1\n0.1,0\n")
+    marked = "\ufeff0.5,1\n0.1,0\n"
+    for source in (marked, marked.splitlines(keepends=True)):
+        d = parse_input(source)
+        assert d == plain
+        assert emit_report(run_report(d)) == emit_report(run_report(plain))
+    # as the utf-8-sig codec: one mark, and only before the first line
+    for text, line, score in [
+        ("\ufeff\ufeff0.5,1\n0.1,0\n", 1, "\ufeff0.5"),
+        ("0.5,1\n\ufeff0.1,0\n", 2, "\ufeff0.1"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert str(exc.value) == f"line {line}: cannot read score {score!r}"
+
+
+def _spellings(m, e):
+    """The value m * 10**e written four ways: plain, zero-padded, a/b, and with an exponent."""
+    plain = f"{Decimal(m).scaleb(e):f}"
+    q = Fraction(m) * Fraction(10) ** e
+    padded = plain + ("0" if "." in plain else ".0")
+    return [plain, padded, f"{q.numerator}/{q.denominator}", f"{m}e{e}"]
+
+
+@st.composite
+def _written_classes(draw):
+    """Two non-empty classes of exact scores, and a file that writes them as rows."""
+    value = st.tuples(st.integers(-999, 999), st.integers(-3, 2))
+    pos, neg = (draw(st.lists(value, min_size=1, max_size=12)) for _ in range(2))
+    rows = []
+    for (m, e), label in [*((v, "1") for v in pos), *((v, "0") for v in neg)]:
+        text = draw(st.sampled_from(_spellings(m, e)))
+        label = draw(st.sampled_from([label, {"1": "pos", "0": "NEG"}[label]]))
+        quoted = draw(st.booleans()), draw(st.booleans())
+        rows.append(",".join(f'"{f}"' if q else f for f, q in zip((text, label), quoted)))
+    rows = draw(st.permutations(rows))
+    header = draw(st.sampled_from([[], ["score,label"], ['"score","label"']]))
+    lines = header + rows
+    for _ in range(draw(st.integers(0, 3))):  # blank lines anywhere, before the header too
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "\ufeff" * draw(st.booleans()) + "".join(line + end for line in lines)
+    exact = [[Fraction(m) * Fraction(10) ** e for m, e in c] for c in (pos, neg)]
+    return text, Dataset(*exact)
+
+
+@given(_written_classes())
+@settings(max_examples=200, deadline=None)
+def test_parse_input_reads_back_the_classes_it_was_written_from(written):
+    text, expected = written
+    reports = [emit_report(run_report(expected), mode) for mode in ("json", "text")]
+    for source in (text, text.splitlines(keepends=True)):
+        d = parse_input(source)
+        assert d == expected
+        assert [emit_report(run_report(d), mode) for mode in ("json", "text")] == reports
+
+
+MARKED_HEADER_RECURS = "\ufeffscore,label\r\n0.5,1\r\n0.1,0\r\nscore,label\r\n0.9,1\r\n"
+
+
+def test_parse_input_refuses_a_marked_header_where_it_recurs():
+    text = MARKED_HEADER_RECURS
+    for source in (text, text.splitlines(keepends=True)):
+        with pytest.raises(ParseError) as exc:
+            parse_input(source)
+        assert str(exc.value) == "line 4: cannot read score 'score'"
+
+
+def test_main_check_refuses_a_marked_header_where_it_recurs(tmp_path, capsys):
+    data = MARKED_HEADER_RECURS.encode()
+    (tmp_path / "h.csv").write_bytes(data)
+    assert main(["check", "--input", str(tmp_path / "h.csv")]) == 1
+    assert capsys.readouterr().err == "error: line 4: cannot read score 'score'\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactroc", "check", "--input", "-"],
+        input=data,
+        capture_output=True,
+        env=_subprocess_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == "error: line 4: cannot read score 'score'\n"
 
 
 def _subprocess_env():
@@ -1733,7 +1816,8 @@ def _imported(*args):
 def test_cold_start_leaves_dataclasses_and_inspect_unloaded(args):
     # measured against a bare interpreter, whose `site` imports vary from machine to machine
     loaded = _imported(*args) - _imported("-c", "pass")
-    assert {"exactroc.core", "exactroc.cli"} <= loaded
+    assert {"exactroc.core", "exactroc.parse", "exactroc.cli"} <= loaded
+    assert "exactroc.contlab" not in loaded  # only `exactroc contlab` loads the lab
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []
 
