@@ -8,15 +8,17 @@ decidable equalities, not approximations.
 
 Every other name is imported from the module that defines it: the oracles
 from `exactroc.roc` and `exactroc.pairwise`, the step-function calculus from
-`exactroc.stieltjes`, and the continuous Laplace lab (closed forms in floating
-point, and samples the exact engine counts) from `exactroc.contlab`.
+`exactroc.stieltjes`, `RocReport` and the SVG writer from `exactroc.report`,
+and the continuous Laplace lab (closed forms in floating point, and samples
+the exact engine counts) from `exactroc.contlab`. The command line,
+`exactroc.cli`, loads only when it runs.
 """
 
 from .core import Dataset, DegenerateClassesError, dataset_from_pairs
 from .roc import auc_trapezoid, roc_curve
 from .pairwise import pair_probability_fast, tie_report
 from .parse import ParseError, parse_input
-from .cli import IdentityError, emit_report, identity_suite, run_report
+from .report import IdentityError, emit_report, identity_suite, run_report
 
 __version__ = "0.1.0"
 

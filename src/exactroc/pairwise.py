@@ -44,7 +44,7 @@ def pair_probability_bruteforce(d: Dataset) -> Rational:
     Deliberately naive: the test suite's oracle for the count-table path. Each pair of
     tally entries counts the product of their multiplicities. `check` never runs it,
     since it makes one comparison per pair of entries; its pair count walks the two class
-    tallies, each sorted and merged by value (`cli._tally_side`).
+    tallies, each sorted and merged by value (`report._tally_side`).
     """
     (ps, pm), (ns, nm) = d.pos_tally, d.neg_tally
     wins = sum(a * b for p, a in zip(ps, pm) for q, b in zip(ns, nm) if p > q)

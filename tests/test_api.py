@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import exactroc
-from exactroc.cli import RocReport, main
+from exactroc.cli import main
 from exactroc.contlab import LaplaceTieModel
 from exactroc.core import Dataset
 from exactroc.pairwise import TieReport
+from exactroc.report import RocReport
 from exactroc.roc import RocCurve
 from exactroc.stieltjes import AtomicMeasure, StepFunction
 from oracles import rows
@@ -137,6 +138,27 @@ def test_every_stage_the_benchmark_traces_resolves(monkeypatch):
     names = {*inproc.TRACED, *(qual for steps in inproc.STEPS.values() for qual in steps)}
     for qual in sorted(names):
         assert callable(inproc._lookup(qual)), qual
+
+
+def test_benchmark_stage_names_are_the_report_modules_objects():
+    # Read from perfbench's source, not imported: perfbench times `cli.run_report`,
+    # `cli.emit_report` and `cli.identity_suite`, so cli's imports of them (emit_report
+    # unused by cli itself) must stay, bound to the objects the library runs
+    tree = ast.parse((ROOT / "perfbench" / "inproc.py").read_text(encoding="utf-8"))
+    table = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("STEPS", "TRACED")
+    }
+    names = {*table["TRACED"], *(qual for steps in table["STEPS"].values() for qual in steps)}
+    for qual in sorted(names):
+        module, name = qual.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(f"exactroc.{module}"), name, None)), qual
+    cli, report = (importlib.import_module(f"exactroc.{m}") for m in ("cli", "report"))
+    for name in ("run_report", "emit_report", "identity_suite"):
+        assert f"cli.{name}" in names and getattr(cli, name) is getattr(report, name), name
 
 
 REPORT_FIELDS = (

@@ -31,12 +31,13 @@ from exactroc import (
     roc_curve,
     run_report,
 )
-import exactroc.cli as cli_module
 import exactroc.parse as parse_module
-from exactroc.cli import RocReport, emit_curve_svg, main
+import exactroc.report as report_module
+from exactroc.cli import main
 from exactroc.contlab import MAX_SAMPLES, LaplaceTieModel, sample
 from exactroc.core import Dataset
 from exactroc.pairwise import TieReport
+from exactroc.report import RocReport, emit_curve_svg
 from exactroc.roc import RocCurve
 from exactroc.stieltjes import AtomicMeasure, StepFunction
 from datagen import random_dataset
@@ -564,9 +565,7 @@ def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
 def test_identity_errors_name_the_stage_and_both_exact_sides(
     tmp_path, capsys, monkeypatch, stage, patch, message
 ):
-    import exactroc.cli as cli_module
-
-    monkeypatch.setattr(cli_module, stage, patch(getattr(cli_module, stage)))
+    monkeypatch.setattr(report_module, stage, patch(getattr(report_module, stage)))
     with pytest.raises(IdentityError) as exc:
         run_report(parse_input(MIXED_CSV))
     assert str(exc.value) == message
@@ -982,7 +981,7 @@ def test_main_report_writes_its_pieces_a_few_hundred_at_a_time(tmp_path, monkeyp
     path = _write(tmp_path, "d.csv", text)
     r = run_report(parse_input(text))
     assert len(r.curve.neg_ge) > 5000
-    pieces = sum(1 for _ in cli_module._report_pieces(r, output))
+    pieces = sum(1 for _ in report_module._report_pieces(r, output))
     stdout = _Writes()
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["report", "--input", path, "--output", output]) == 0
@@ -1024,7 +1023,7 @@ def test_main_restores_the_collectors_state(
     text = {"parse": "0.5,maybe\n", "one class": "0.5,1\n0.7,1\n"}.get(case, MIXED_CSV)
     argv = ["report", "--input", _write(tmp_path, "d.csv", text)]
     if case == "identity":
-        monkeypatch.setattr(cli_module, "auc_trapezoid", lambda curve: Fraction(0))
+        monkeypatch.setattr(report_module, "auc_trapezoid", lambda curve: Fraction(0))
     with open(tmp_path / "sink", "w") as sink:  # main points its descriptor at /dev/null
         if case == "closed pipe":
             monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
@@ -1091,9 +1090,7 @@ def test_main_identity_violation_exits_3(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["report", "check"])
 def test_main_validator_failure_exits_3(tmp_path, capsys, monkeypatch, command):
     # a kernel validator's ValueError is an implementation bug, not malformed input
-    import exactroc.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "roc_curve", lambda d: RocCurve((2, 1), (2, 1)))
+    monkeypatch.setattr(report_module, "roc_curve", lambda d: RocCurve((2, 1), (2, 1)))
     path = _write(tmp_path, "d.csv", MIXED_CSV)
     assert main([command, "--input", path]) == 3
     captured = capsys.readouterr()
@@ -1305,9 +1302,7 @@ def test_main_check_names_a_corrupt_column_of_mixed_score_types(
 def test_main_check_prints_fail_rows_instead_of_raising(
     tmp_path, capsys, monkeypatch, stage, patch, changed
 ):
-    import exactroc.cli as cli_module
-
-    monkeypatch.setattr(cli_module, stage, patch(getattr(cli_module, stage)))
+    monkeypatch.setattr(report_module, stage, patch(getattr(report_module, stage)))
     path = _write(tmp_path, "d.csv", MIXED_CSV)
     assert main(["check", "--input", path]) == 3
     lines = [changed.get(i, line) for i, line in enumerate(CHECK_OK[MIXED_CSV])]
@@ -1463,15 +1458,14 @@ def test_main_check_builds_one_dataset(tmp_path, capsys, monkeypatch):
 
 
 def test_main_check_never_runs_the_quadratic_pair_count(tmp_path, capsys, monkeypatch):
-    import exactroc.cli as cli_module
     import exactroc.pairwise as pairwise_module
 
     def quadratic(_):
         raise AssertionError("check ran the O(n_pos * n_neg) pair count")
 
     monkeypatch.setattr(pairwise_module, "pair_probability_bruteforce", quadratic)
-    # and any reference cli holds to it, so no copy of the double loop can run
-    monkeypatch.setattr(cli_module, "pair_probability_bruteforce", quadratic, raising=False)
+    # and any reference report holds to it, so no copy of the double loop can run
+    monkeypatch.setattr(report_module, "pair_probability_bruteforce", quadratic, raising=False)
     rows = "".join(f"{i * 7919 % 200}/100,{int(i % 3 == 0)}\n" for i in range(20_000))
     path = _write(tmp_path, "tied.csv", rows)
     assert main(["check", "--input", path]) == 0
@@ -1714,9 +1708,7 @@ def test_main_contlab_prints_certificate(capsys):
 
 
 def test_main_contlab_exits_3_when_an_identity_row_fails_on_the_sample(capsys, monkeypatch):
-    import exactroc.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "pair_probability_fast", lambda d: Fraction(1, 2))
+    monkeypatch.setattr(report_module, "pair_probability_fast", lambda d: Fraction(1, 2))
     assert main(["contlab", "--samples", "100"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1809,14 +1801,22 @@ def _imported(*args):
 
 
 @pytest.mark.parametrize(
-    "args",
-    [["-c", "import exactroc"], ["-m", "exactroc", "check", "--input", str(DATA / "counterexample.csv")]],
+    "args, required, forbidden",
+    [
+        (["-c", "import exactroc"], set(), {"exactroc.cli", "argparse"}),
+        (
+            ["-m", "exactroc", "check", "--input", str(DATA / "counterexample.csv")],
+            {"exactroc.cli"},
+            set(),
+        ),
+    ],
     ids=["import", "check"],
 )
-def test_cold_start_leaves_dataclasses_and_inspect_unloaded(args):
+def test_cold_start_leaves_dataclasses_and_inspect_unloaded(args, required, forbidden):
     # measured against a bare interpreter, whose `site` imports vary from machine to machine
     loaded = _imported(*args) - _imported("-c", "pass")
-    assert {"exactroc.core", "exactroc.parse", "exactroc.cli"} <= loaded
+    assert {"exactroc.core", "exactroc.parse", "exactroc.report"} | required <= loaded
+    assert sorted(forbidden & loaded) == []  # the library never loads its command line
     assert "exactroc.contlab" not in loaded  # only `exactroc contlab` loads the lab
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []

@@ -23,7 +23,8 @@ from exactroc import (
     roc_curve,
     tie_report,
 )
-from exactroc.cli import _tally_side, emit_report, identity_suite, main, run_report
+from exactroc.cli import main
+from exactroc.report import _tally_side, emit_report, identity_suite, run_report
 from exactroc.core import Tally
 from exactroc.pairwise import hypothesis_holds, pair_probability_bruteforce
 from exactroc.stieltjes import rate_step_function
