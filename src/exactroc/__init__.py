@@ -6,8 +6,9 @@ random positive strictly outranks a random negative - and the exact tie
 correction separating them when scores collide across classes - hold as
 decidable equalities, not approximations.
 
-Every other name is imported from the module that defines it: the oracles
-from `exactroc.roc` and `exactroc.pairwise`, the step-function calculus from
+Every other name is imported from the module that defines it: `RocCurve` (whose
+`points` is a view of its counts as exact rates) from `exactroc.roc`, the brute-force
+pair-count oracle from `exactroc.pairwise`, the step-function calculus from
 `exactroc.stieltjes`, `RocReport` and the SVG writer from `exactroc.report`,
 and the continuous Laplace lab (closed forms in floating point, and samples
 the exact engine counts) from `exactroc.contlab`. The command line,

@@ -33,7 +33,9 @@ _WRITE_PIECES = 256  # report pieces joined into one write: few writes, yet no l
 
 def _load(args: argparse.Namespace) -> Dataset:
     binary = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-    with io.TextIOWrapper(binary, encoding="utf-8") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, which is neither a score nor a
+    # label, so the parse refuses its line by number
+    with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_input(fh, args.format)
 
 
@@ -161,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader stopped early: not an input error, and no traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the final flush
         return 141
-    except (ParseError, OSError, UnicodeDecodeError) as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except DegenerateClassesError as e:

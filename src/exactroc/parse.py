@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from itertools import chain, islice
 from typing import Iterable, Literal
@@ -18,6 +19,7 @@ _LABELS = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "fals
 _DELIMITERS = {"csv": ",", "tsv": "\t"}
 _CHUNK_LINES = 1024  # lines parse_input counts at once: its extra memory follows this
 _SPANS = "quoted field spans lines"  # a line whose quoted field does not close on it
+_UNDECODED = re.compile("[\ud800-\udfff]")  # a lone surrogate: a byte UTF-8 could not decode
 
 
 class ParseError(ValueError):
@@ -34,15 +36,16 @@ def parse_input(source: str | Iterable[str], fmt: Literal["csv", "tsv"] = "csv")
     Scores are decimal text, read exactly by `core.read_score`: as a Decimal, or as a
     Fraction for `a/b` text; the two compare exactly. Labels accept 1/0, pos/neg, true/false
     (case-insensitive). One leading byte order mark (U+FEFF) is dropped, as the utf-8-sig
-    codec drops it. A single leading header line is skipped when neither of its
-    fields makes sense as data. Each line is one csv record: a quoted field must close on
-    the line it opens on, the last line included. Lines are read `_CHUNK_LINES` at a time.
-    Each chunk is added to one count of raw lines, in C, and only the lines new to that
-    count are parsed. So each class is a tally with one tally entry per distinct raw
-    line, and memory follows the distinct lines, not the rows: 1e6 rows on a 3-decimal
-    grid, about 2,000 distinct lines, parse in about 0.25 s in process. A score text is
-    read once for each distinct line it is on. Raises ParseError at the first failing
-    line, or DegenerateClassesError when only one class is present.
+    codec drops it. A single leading header line is skipped when neither of its fields makes
+    sense as data and it holds no lone surrogate, which is what `surrogateescape` decodes a
+    byte that is not UTF-8 to. Each line is one csv record: a quoted field must close on the
+    line it opens on, the last line included. Lines are read `_CHUNK_LINES` at a time. Each
+    chunk is added to one count of raw lines, in C, and only the lines new to that count are
+    parsed. So each class is a tally with one tally entry per distinct raw line, and memory
+    follows the distinct lines, not the rows: 1e6 rows on a 3-decimal grid, about 2,000
+    distinct lines, parse in about 0.25 s in process. A score text is read once for each
+    distinct line it is on. Raises ParseError at the first failing line, or
+    DegenerateClassesError when only one class is present.
     """
     if fmt not in _DELIMITERS:
         raise ValueError(f"fmt must be 'csv' or 'tsv', not {fmt!r}")
@@ -71,6 +74,7 @@ class _ParseState:
 
         The header line is not data: it is kept in `header`, with the error it recurs as.
         A row is the first data row while neither a header nor a data line has been read.
+        A line with a byte that was not decoded is never the header.
         """
         if not "".join(row).strip():
             return
@@ -82,7 +86,7 @@ class _ParseState:
             value = read_score(score_text)
         except (ValueError, ZeroDivisionError):
             error = f"cannot read score {score_text!r}"
-            if self.header or any(self.classes) or label is not None:
+            if self.header or any(self.classes) or label is not None or _UNDECODED.search(line):
                 raise ValueError(error) from None
             self.header = line, error
         else:

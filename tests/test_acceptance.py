@@ -13,7 +13,6 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -28,10 +27,9 @@ from exactroc.cli import main
 from exactroc.contlab import LaplaceTieModel, jump_certificate
 from exactroc.pairwise import pair_probability_bruteforce
 from exactroc.stieltjes import integrate, negative_differential, rate_step_function
+from cases import DATA
 from datagen import random_dataset
 from oracles import rows
-
-DATA = Path(__file__).parent / "data"
 
 
 @contextmanager

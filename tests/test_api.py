@@ -20,6 +20,7 @@ from exactroc.pairwise import TieReport
 from exactroc.report import RocReport
 from exactroc.roc import RocCurve
 from exactroc.stieltjes import AtomicMeasure, StepFunction
+from cases import MIXED_CSV, REPORT_FIELDS
 from oracles import rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,15 +162,9 @@ def test_benchmark_stage_names_are_the_report_modules_objects():
         assert f"cli.{name}" in names and getattr(cli, name) is getattr(report, name), name
 
 
-REPORT_FIELDS = (
-    "auc", "pair_probability", "tie", "hypothesis_holds", "curve",
-    "n_pos", "n_neg", "balanced_integral", "right_integral",
-)
-
-
 def _fields_of(cls):
     """Valid field values of each value class, in field order."""
-    r = exactroc.run_report(exactroc.parse_input("0.5,1\n0.9,1\n0.5,0\n0.1,0\n"))
+    r = exactroc.run_report(exactroc.parse_input(MIXED_CSV))
     half, one = Fraction(1, 2), Fraction(1)
     return {
         Dataset: {"positives": (half, Fraction(9, 10)), "negatives": (half, Fraction(1, 10))},

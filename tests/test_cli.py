@@ -1,9 +1,14 @@
+"""The command line: `main`, the `exactroc` script and `python -m exactroc`, and their imports.
+
+Each test runs a command, through `main` or in a fresh interpreter, or reads what an import
+loads: exit codes, the bytes on stdout and stderr, memory and the collector around a run.
+The input format's row rules, its score spellings and what `parse_input` holds and reads are
+tested here too, until they join its equivalence tests in test_parse.py.
+"""
+
 import contextlib
 import csv
 import gc
-import importlib
-import io
-import itertools
 import json
 import math
 import os
@@ -28,7 +33,6 @@ from exactroc import (
     emit_report,
     identity_suite,
     parse_input,
-    roc_curve,
     run_report,
 )
 import exactroc.parse as parse_module
@@ -37,24 +41,17 @@ from exactroc.cli import main
 from exactroc.contlab import MAX_SAMPLES, LaplaceTieModel, sample
 from exactroc.core import Dataset
 from exactroc.pairwise import TieReport
-from exactroc.report import RocReport, emit_curve_svg
 from exactroc.roc import RocCurve
 from exactroc.stieltjes import AtomicMeasure, StepFunction
-from datagen import random_dataset
-from oracles import rows
-
-COUNTEREXAMPLE_CSV = "0.35,1\n0.35,0\n"
-DATA = Path(__file__).parent / "data"
-MIXED_CSV = "0.5,1\n0.9,1\n0.5,0\n0.1,0\n"
-REPORT_FIELDS = (
-    "auc", "pair_probability", "tie", "hypothesis_holds", "curve",
-    "n_pos", "n_neg", "balanced_integral", "right_integral",
+from cases import (
+    COUNTEREXAMPLE_CSV,
+    DATA,
+    MARKED_HEADER_RECURS,
+    MIXED_CSV,
+    REPORT_TEXT,
+    _distinct_lines,
 )
-
-
-def _report_with(r, **changes):
-    """A RocReport built through its constructor: `r`'s fields, with `changes` in place."""
-    return RocReport(**{**{name: getattr(r, name) for name in REPORT_FIELDS}, **changes})
+from oracles import rows
 
 
 def test_parse_counterexample():
@@ -92,30 +89,6 @@ def test_parse_skips_blank_lines_but_keeps_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_input("0.5,1\n\nbad,worse\n")
     assert exc.value.line == 3
-
-
-def _parsed(source):
-    try:
-        return parse_input(source)
-    except ParseError as e:
-        return str(e)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "0.5,1\r\n0.9,1\r\n0.5,0\r\n0.1,0\r\n",
-        '"sc\nore",label\n0.5,1\n"0.1\n",0\n',
-        '"sc\r\nore",label\r\n0.5,1\r\n"0.1",0\r\n',
-        "score,label\n\n0.5,1\n\n\n0.1,0\n\n",
-        "score,label\nscore,label\n0.5,1\n0.1,0\n",
-        "0.5,1\n\nbad,worse\n",
-    ],
-    ids=["crlf", "quoted-newline", "quoted-crlf", "header-blank-lines", "second-header", "bad-row"],
-)
-def test_parse_input_reads_text_and_lines_alike(text):
-    lines = text.splitlines(keepends=True)
-    assert _parsed(text) == _parsed(io.StringIO(text)) == _parsed(iter(lines))
 
 
 def test_parse_input_splits_text_on_every_line_end_as_a_file_is_split(tmp_path, capsys):
@@ -180,94 +153,6 @@ def test_parse_input_rejects_an_unknown_format():
         parse_input(COUNTEREXAMPLE_CSV, fmt="CSV")
 
 
-def _parse_row_by_row(text):
-    """parse_input without its count of raw lines: every row is checked, stripped and read.
-
-    A record that csv reads over more than one line is refused at its first line. An
-    empty line is read after the text, so a quote left open on its last line runs on too.
-    """
-    labels = {"1": True, "pos": True, "true": True, "0": False, "neg": False, "false": False}
-    positives, negatives = [], []
-    reader = csv.reader(itertools.chain(io.StringIO(text), [""]))
-    first_data_row = True
-    start = 1  # the line the next record starts on
-    try:
-        for row in reader:
-            line, start = start, reader.line_num + 1
-            if reader.line_num > line:
-                raise ParseError(line, "quoted field spans lines")
-            if not "".join(row).strip():
-                continue
-            if len(row) != 2:
-                raise ParseError(line, f"expected 2 fields, got {len(row)}")
-            score_text, label_text = row[0].strip(), row[1].strip()
-            label = labels.get(label_text.lower())
-            try:
-                value = Fraction(score_text)
-            except (ValueError, ZeroDivisionError):
-                if first_data_row and label is None:
-                    first_data_row = False
-                    continue
-                raise ParseError(line, f"cannot read score {score_text!r}") from None
-            if label is None:
-                raise ParseError(line, f"cannot read label {label_text!r}")
-            (positives if label else negatives).append(value)
-            first_data_row = False
-    except csv.Error as e:
-        message = "quoted field spans lines" if reader.line_num > start else str(e)
-        raise ParseError(start, message) from None
-    return Dataset(positives, negatives)
-
-
-def _outcome(parse, text):
-    try:
-        return parse(text)
-    except ParseError as e:
-        return ("ParseError", e.line, str(e))
-    except DegenerateClassesError as e:
-        return ("DegenerateClassesError", str(e))
-
-
-LINE_COUNT_SCORES = ["0.5", " 0.5", '"0.5"', "0.50", "1/2", "0.25 ", "bad", ""]
-LINE_COUNT_LABELS = ["1", "0", "POS", " neg", "maybe"]
-LINE_COUNT_ODD_ROWS = ["", ",", "0.5,1,x", '"0.5\n",1', '0.25,"\n0"']
-
-
-@given(
-    st.booleans(),
-    st.lists(
-        st.one_of(
-            st.tuples(
-                st.sampled_from(LINE_COUNT_SCORES), st.sampled_from(LINE_COUNT_LABELS)
-            ).map(",".join),
-            st.sampled_from(LINE_COUNT_ODD_ROWS),
-        ),
-        max_size=30,
-    ),
-)
-@settings(max_examples=400)
-def test_parse_input_line_count_changes_nothing(header, rows):
-    text = "\n".join((["score,label"] if header else []) + rows) + "\n"
-    assert _outcome(parse_input, text) == _outcome(_parse_row_by_row, text)
-
-
-@pytest.mark.parametrize(
-    ("text", "line", "message"),
-    [
-        ("0.5,1\n0.5,0\n0.5,1\n 0.5,0\nbad,1\n", 5, "cannot read score 'bad'"),
-        ("0.5,1\n0.5,0\n0.5,1\n0.5,0\n0.5,maybe\n", 5, "cannot read label 'maybe'"),
-        ('"0.5\n",1\n"0.5\n",0\n"0.5\n",1\n0.5,1,x\n', 1, "quoted field spans lines"),
-        ('0.5,"\n1"\n0.5,"\n1"\n0.5,0\n0.5,"\nmaybe"\n', 1, "quoted field spans lines"),
-    ],
-    ids=["score-after-hits", "label-after-hits", "fields-after-quoted", "quoted-label"],
-)
-def test_parse_input_error_lines_after_line_count_hits(text, line, message):
-    with pytest.raises(ParseError) as exc:
-        parse_input(text)
-    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
-    assert _outcome(_parse_row_by_row, text) == ("ParseError", line, str(exc.value))
-
-
 def _score_texts(text):
     """The stripped score text of each distinct line of `text`, as csv reads the line."""
     return sorted(row[0].strip() for row in csv.reader(set(text.splitlines(keepends=True))))
@@ -306,91 +191,6 @@ def test_parse_input_reads_each_distinct_data_line_once(monkeypatch):
         calls.clear()
         assert len(parse_input("".join(rows))) == 10_000
         assert sorted(calls) == _score_texts("".join(rows))
-
-
-CHUNK_SIZES = [1, 2, 3, 1024]
-CHUNK_ROWS = [
-    "score,label",
-    '"score","label"',
-    '"0.5\n",0',  # its first line starts a LINE_COUNT_ODD_ROWS record with the other label
-    '0.25,"\n1"',
-    "0.5\x00,1",  # a NUL byte: csv.Error before Python 3.11, an unreadable score after
-    "1" * (csv.field_size_limit() + 1) + ",0",  # csv.Error: field larger than field limit
-    '0.25,"0',  # a quote left open: the line, and with it the file, is refused
-]
-
-
-@given(
-    st.booleans(),
-    st.lists(
-        st.tuples(
-            st.one_of(
-                st.tuples(
-                    st.sampled_from(LINE_COUNT_SCORES), st.sampled_from(LINE_COUNT_LABELS)
-                ).map(",".join),
-                st.sampled_from(LINE_COUNT_ODD_ROWS + CHUNK_ROWS),
-            ),
-            st.sampled_from(["\n", "\r\n"]),
-        ),
-        max_size=40,
-    ),
-)
-@settings(max_examples=300, deadline=None)
-def test_parse_input_chunks_change_nothing(header, rows):
-    # Quoted records that span lines straddle chunk ends, and are refused at their first
-    # line; a header may recur anywhere.
-    text = ("score,label\n" if header else "") + "".join(row + end for row, end in rows)
-    expected = _outcome(_parse_row_by_row, text)
-    with pytest.MonkeyPatch.context() as patch:
-        for size in CHUNK_SIZES:
-            patch.setattr(parse_module, "_CHUNK_LINES", size)
-            for source in (text, io.StringIO(text), iter(text.splitlines(keepends=True))):
-                assert _outcome(parse_input, source) == expected, (size, type(source))
-
-
-FIELD_LIMIT = csv.field_size_limit()
-SPANS = "quoted field spans lines"
-
-
-@pytest.mark.parametrize(
-    ("text", "line", "message"),
-    [
-        ('0.5,1\n0.25,"0\n0.5,1\n', 2, SPANS),
-        ('0.5,1\n0.25,"0', 2, SPANS),
-        ("score,label\r\nscore,label\r\n0.5,1,x\n", 2, "cannot read score 'score'"),
-        ("score,label\n0.5,1\n0.25,0\nscore,label\n0.5,1,x\n", 4, "cannot read score 'score'"),
-        (
-            "0.5,1\n" + "1" * (FIELD_LIMIT + 1) + ",0\n",
-            2,
-            f"field larger than field limit ({FIELD_LIMIT})",
-        ),
-        ('0.5,1\n0.25,"0\n' + "1" * (FIELD_LIMIT + 1) + ",0\n", 2, SPANS),
-        (
-            "0.5,1\n0.5\x00,1\n",
-            2,
-            "line contains NUL" if sys.version_info < (3, 11) else "cannot read score '0.5\\x00'",
-        ),
-    ],
-    ids=[
-        "quote-open-on-a-chunks-last-new-line",
-        "quote-open-on-the-last-line",
-        "header-recurs-before-a-bad-line",
-        "header-recurs-in-a-later-chunk",
-        "csv-error-on-its-own-line",
-        "quote-open-before-a-csv-error",
-        "nul-byte",
-    ],
-)
-def test_parse_input_refuses_at_the_first_failing_line(text, line, message):
-    # A quote left open on the last line a chunk adds would end at the end of csv's input,
-    # and be read as a whole field, but for the empty line parse_input reads after it.
-    expected = ("ParseError", line, f"line {line}: {message}")
-    assert _outcome(_parse_row_by_row, text) == expected
-    with pytest.MonkeyPatch.context() as patch:
-        for size in CHUNK_SIZES:
-            patch.setattr(parse_module, "_CHUNK_LINES", size)
-            for source in (text, iter(text.splitlines(keepends=True))):
-                assert _outcome(parse_input, source) == expected, size
 
 
 def test_parse_input_refuses_bytes_lines_with_csvs_message():
@@ -453,14 +253,6 @@ def test_parse_input_memory_follows_the_chunk_not_the_rows():
     assert max(peaks) < 2**20 and max(peaks) <= 1.1 * min(peaks), peaks
 
 
-def _distinct_lines(n, seed=7):
-    """A header, then n rows of distinct float scores, as in low-tie input."""
-    rng = random.Random(seed)
-    yield "score,label\n"
-    for k in range(n):
-        yield f"{rng.random()!r},{k % 2}\n"
-
-
 def test_parse_input_peak_follows_the_distinct_lines_at_a_stated_cost():
     # Every line is distinct, so parse_input holds each one with its count, its class
     # entry and its Decimal, and then each class's tally. It frees each class dict once
@@ -476,47 +268,6 @@ def test_parse_input_peak_follows_the_distinct_lines_at_a_stated_cost():
         finally:
             tracemalloc.stop()
     assert max(per_line) < 260 and max(per_line) <= 1.1 * min(per_line), per_line
-
-
-def test_run_report_counterexample():
-    r = run_report(parse_input(COUNTEREXAMPLE_CSV))
-    assert r.auc == Fraction(1, 2)
-    assert r.pair_probability == 0
-    assert r.tie.correction == Fraction(1, 2)
-    assert r.hypothesis_holds is False
-    assert (r.n_pos, r.n_neg) == (1, 1)
-
-
-def test_run_report_mixed():
-    r = run_report(parse_input(MIXED_CSV))
-    assert r.auc == Fraction(7, 8)
-    assert r.pair_probability == Fraction(3, 4)
-    assert r.tie.correction == Fraction(1, 8)
-
-
-def test_run_report_disjoint():
-    r = run_report(parse_input("0.8,1\n0.4,1\n0.6,0\n0.2,0\n"))
-    assert r.hypothesis_holds is True
-    assert r.auc == r.pair_probability == Fraction(3, 4)
-    assert r.tie.correction == 0
-
-
-def test_report_construction_rejects_inconsistent_fields():
-    r = run_report(parse_input(MIXED_CSV))
-    with pytest.raises(IdentityError):
-        _report_with(r, pair_probability=Fraction(1, 2))
-    with pytest.raises(IdentityError):
-        _report_with(r, hypothesis_holds=True)
-
-
-def test_report_requires_the_tie_inventory_to_agree_with_the_hypothesis():
-    r = run_report(parse_input(MIXED_CSV))
-    with pytest.raises(IdentityError) as exc:
-        _report_with(r, tie=TieReport((), r.tie.correction, r.tie.bound))
-    assert str(exc.value) == (
-        "RocReport: no cross-class tie iff area = pair probability: "
-        "hypothesis False, shared 0, auc 7/8, pair 3/4"
-    )
 
 
 @pytest.mark.parametrize(
@@ -574,160 +325,9 @@ def test_identity_errors_name_the_stage_and_both_exact_sides(
     assert capsys.readouterr().err == f"internal error: {message}\n"
 
 
-def test_emit_report_json_counterexample():
-    r = run_report(parse_input(COUNTEREXAMPLE_CSV))
-    payload = json.loads(emit_report(r, "json"))
-    assert payload["n_pos"] == 1
-    assert payload["n_neg"] == 1
-    assert payload["hypothesis_holds"] is False
-    assert payload["auc"] == "1/2"
-    assert payload["auc_decimal"] == "0.5"
-    assert payload["pair_probability"] == "0/1"
-    assert payload["tie_correction"] == "1/2"
-    assert payload["tie_bound"] == "1/2"
-    assert payload["shared_scores"] == [
-        {"score": "7/20", "pos_mass": "1/1", "neg_mass": "1/1"}
-    ]
-    assert payload["curve"] == [["1/1", "1/1"], ["0/1", "0/1"]]
-
-
-def test_emit_report_json_key_order_and_determinism():
-    r = run_report(parse_input(MIXED_CSV))
-    text = emit_report(r, "json")
-    assert text == emit_report(run_report(parse_input(MIXED_CSV)), "json")
-    assert list(json.loads(text)) == [
-        "n_pos",
-        "n_neg",
-        "hypothesis_holds",
-        "auc",
-        "auc_decimal",
-        "pair_probability",
-        "pair_probability_decimal",
-        "tie_correction",
-        "tie_correction_decimal",
-        "tie_bound",
-        "tie_bound_decimal",
-        "shared_scores",
-        "curve",
-    ]
-    assert text.endswith("\n")
-
-
-def test_emit_report_decimals_use_17_significant_digits():
-    # one positive against three negatives, beating two: pair probability 2/3
-    r = run_report(parse_input("0.6,1\n0.1,0\n0.5,0\n0.7,0\n"))
-    payload = json.loads(emit_report(r, "json"))
-    assert payload["pair_probability"] == "2/3"
-    assert payload["pair_probability_decimal"] == "0.66666666666666667"
-
-
-REPORT_TEXT = {
-    COUNTEREXAMPLE_CSV: [
-        "observations      2 (1 positive, 1 negative)",
-        "hypothesis_holds  false",
-        "auc               1/2 = 0.5",
-        "pair_probability  0/1 = 0",
-        "tie_correction    1/2 = 0.5",
-        "tie_bound         1/2 = 0.5",
-        "shared_score      7/20 (pos_mass 1/1, neg_mass 1/1)",
-        "curve             (1/1, 1/1) (0/1, 0/1)",
-    ],
-    MIXED_CSV: [
-        "observations      4 (2 positive, 2 negative)",
-        "hypothesis_holds  false",
-        "auc               7/8 = 0.875",
-        "pair_probability  3/4 = 0.75",
-        "tie_correction    1/8 = 0.125",
-        "tie_bound         1/4 = 0.25",
-        "shared_score      1/2 (pos_mass 1/2, neg_mass 1/2)",
-        "curve             (1/1, 1/1) (1/2, 1/1) (0/1, 1/2) (0/1, 0/1)",
-    ],
-}
-
-
-@given(st.integers(0, 10**6), st.sampled_from(["disjoint", "tied", "random"]))
-@settings(max_examples=150)
-def test_emit_report_json_is_laid_out_as_json_dumps(seed, kind):
-    d = random_dataset(random.Random(seed), disjoint=kind == "disjoint", force_tie=kind == "tied")
-    text = emit_report(run_report(d), "json")
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
-
-
-def test_emit_report_text_mode():
-    for text, lines in REPORT_TEXT.items():
-        assert emit_report(run_report(parse_input(text)), "text") == "\n".join(lines) + "\n"
-
-
-def test_emit_report_rejects_an_unknown_mode():
-    with pytest.raises(ValueError, match="^mode must be 'json' or 'text', not 'xml'$"):
-        emit_report(run_report(parse_input(COUNTEREXAMPLE_CSV)), "xml")
-
-
-def test_svg_is_valid_xml_with_one_point_per_curve_vertex():
-    d = parse_input(MIXED_CSV)
-    curve = roc_curve(d)
-    svg = emit_curve_svg(curve, 480)
-    root = ET.fromstring(svg)
-    assert root.tag.endswith("svg")
-    assert root.get("width") == "480"
-    ns = {"s": "http://www.w3.org/2000/svg"}
-    polylines = root.findall(".//s:polyline", ns)
-    assert len(polylines) == 1
-    assert len(polylines[0].get("points").split()) == len(curve.points)
-
-
-def test_svg_counterexample_is_the_diagonal_segment():
-    curve = roc_curve(parse_input(COUNTEREXAMPLE_CSV))
-    svg = emit_curve_svg(curve, 480)
-    root = ET.fromstring(svg)
-    ns = {"s": "http://www.w3.org/2000/svg"}
-    pts = root.findall(".//s:polyline", ns)[0].get("points").split()
-    assert len(pts) == 2
-
-
-def test_writers_build_no_fraction():
-    # 1,500 distinct scores, some shared: every value printed is a ratio of integer counts
-    r = run_report(parse_input("".join(f"{i // 2}/997,{int(i % 3 == 0)}\n" for i in range(3000))))
-    assert len(r.curve.neg_ge) > 1000 and r.tie.shared_scores
-    constructors = {Fraction.__new__.__code__}
-    if hasattr(Fraction, "_from_coprime_ints"):  # from Python 3.12, arithmetic builds here
-        constructors.add(Fraction._from_coprime_ints.__func__.__code__)
-    built = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in constructors:
-            built.append(frame.f_code.co_name)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        emit_report(r, "json")
-        emit_report(r, "text")
-        emit_curve_svg(r.curve)
-    finally:
-        sys.setprofile(previous)
-    assert built == []
-
-
-def test_svg_rejects_tiny_width():
-    curve = roc_curve(parse_input(COUNTEREXAMPLE_CSV))
-    with pytest.raises(ValueError):
-        emit_curve_svg(curve, 63)
-
-
-def test_identity_suite_all_pass_on_examples(monkeypatch):
-    # the benchmark reads a `check` with another number of rows as incorrect
-    monkeypatch.syspath_prepend(str(DATA.parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
-    for text in (COUNTEREXAMPLE_CSV, MIXED_CSV):
-        rows = identity_suite(parse_input(text))
-        assert len(rows) == workloads.CHECK_ROWS
-        assert all(ok for _, ok, _ in rows)
-
-
 def _write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text, encoding="utf-8")
+    p.write_text(text, encoding="utf-8", errors="surrogateescape")  # "\udcff" is byte 0xff
     return str(p)
 
 
@@ -831,9 +431,6 @@ def test_parse_input_reads_back_the_classes_it_was_written_from(written):
         d = parse_input(source)
         assert d == expected
         assert [emit_report(run_report(d), mode) for mode in ("json", "text")] == reports
-
-
-MARKED_HEADER_RECURS = "\ufeffscore,label\r\n0.5,1\r\n0.1,0\r\nscore,label\r\n0.9,1\r\n"
 
 
 def test_parse_input_refuses_a_marked_header_where_it_recurs():
@@ -1067,6 +664,8 @@ def test_main_unreadable_input_exits_1(tmp_path, capsys, kind):
     assert main(["report", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if kind == "not utf-8":
+        assert err.startswith("error: line 2: ")
 
 
 def test_main_degenerate_exits_2(tmp_path, capsys):
@@ -1607,7 +1206,8 @@ DIGITS_4300 = "7" * 4300
 CAP_NUMERATORS = [k for k in range(1, 125) if k % 2 and k % 5]  # 50, each k/10**20000 reduced
 
 # Each case: the file's text, the exit code both commands must give, and the report's shared
-# scores or the error line. `int()` reads at most 4300 digits.
+# scores or the error line. `int()` reads at most 4300 digits. `_write` writes "\udcff" as the
+# byte 0xff, which is not UTF-8.
 INPUT_CORPUS = {
     "spellings-of-one-value": (
         "".join(f"{s},{c}\n" for s in SPELLINGS_OF_ONE_HALF for c in (1, 0)),
@@ -1641,6 +1241,17 @@ INPUT_CORPUS = {
         'score,label\n0.25,"0\n' + "".join(f"0.{k % 1000:03d},{k % 2}\n" for k in range(200_000)),
         1,
         "error: line 2: quoted field spans lines\n",
+    ),
+    "byte-0xff-on-line-200003": (
+        "score,label\n" + "".join(f"0.{k % 1000:03d},{k % 2}\n" for k in range(200_001))
+        + "\udcff,0\n",
+        1,
+        "error: line 200003: cannot read score '\\udcff'\n",
+    ),
+    "undecodable-first-line": (  # not skipped as a header
+        "\udcff,\udcfe\n0.5,1\n0.1,0\n",
+        1,
+        "error: line 1: cannot read score '\\udcff'\n",
     ),
 }
 
@@ -1820,9 +1431,3 @@ def test_cold_start_leaves_dataclasses_and_inspect_unloaded(args, required, forb
     assert "exactroc.contlab" not in loaded  # only `exactroc contlab` loads the lab
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert sorted(m for m in loaded if m.split(".")[0] in heavy) == []
-
-
-def test_run_report_matches_dataset_built_directly():
-    via_text = run_report(parse_input(MIXED_CSV))
-    via_api = run_report(Dataset(["0.5", "0.9"], ["0.5", "0.1"]))
-    assert emit_report(via_text) == emit_report(via_api)

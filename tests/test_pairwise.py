@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,20 +17,9 @@ from exactroc.pairwise import (
     hypothesis_holds,
     pair_probability_bruteforce,
 )
+from cases import C
 from datagen import random_dataset
 from oracles import rows
-
-C = Fraction(7, 20)
-
-
-@pytest.fixture
-def counterexample():
-    return Dataset([C], [C])
-
-
-@pytest.fixture
-def mixed():
-    return Dataset(["0.5", "0.9"], ["0.5", "0.1"])
 
 
 def test_bruteforce_tied_pair_is_zero(counterexample):

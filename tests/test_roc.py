@@ -7,21 +7,9 @@ from hypothesis import strategies as st
 
 from exactroc import Dataset, auc_trapezoid, roc_curve
 from exactroc.roc import RocCurve
+from cases import C
 from datagen import random_dataset
 from oracles import fpr_at, rows, tpr_at
-
-C = Fraction(7, 20)
-
-
-@pytest.fixture
-def counterexample():
-    # one positive and one negative sharing a single score
-    return Dataset([C], [C])
-
-
-@pytest.fixture
-def mixed():
-    return Dataset(["0.5", "0.9"], ["0.5", "0.1"])
 
 
 def test_tpr_at_counterexample(counterexample):

@@ -15,20 +15,9 @@ from exactroc.stieltjes import (
     negative_differential,
     rate_step_function,
 )
+from cases import C
 from datagen import random_dataset
 from oracles import balanced, fpr_at, left_limit, right_limit, tpr_at, value_at
-
-C = Fraction(7, 20)
-
-
-@pytest.fixture
-def counterexample():
-    return Dataset([C], [C])
-
-
-@pytest.fixture
-def mixed():
-    return Dataset(["0.5", "0.9"], ["0.5", "0.1"])
 
 
 def test_positive_rate_function_table(mixed):
