@@ -65,9 +65,7 @@ def score(value: Score | int | str) -> Score:
     before any arithmetic.
     """
     if isinstance(value, Decimal):  # first: isinstance of a Decimal with Fraction, an ABC, is slow
-        if value.is_finite() and -_MAX_PLACE <= value.adjusted() <= _MAX_PLACE:
-            return value
-        raise ValueError(f"{value!r} is not finite with its leading digit within 10**{_MAX_PLACE}")
+        return _bounded(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -82,6 +80,13 @@ def score(value: Score | int | str) -> Score:
     else:
         text = str(value)
     return Fraction(_plain(text))
+
+
+def _bounded(value: Decimal) -> Decimal:
+    """`value` if it is finite with its leading digit's place within `_MAX_PLACE`."""
+    if value.is_finite() and -_MAX_PLACE <= value.adjusted() <= _MAX_PLACE:
+        return value
+    raise ValueError(f"{value!r} is not finite with its leading digit within 10**{_MAX_PLACE}")
 
 
 def read_score(text: str) -> Score:
@@ -105,7 +110,7 @@ def read_score(text: str) -> Score:
         mantissa, _, _ = text.strip().lower().partition("e")
         if max(map(len, mantissa.lstrip("+-").split("."))) > limit:
             raise ValueError(f"{text[:20]!r}... has more than {limit} digits in one part")
-    return score(value)  # finite, and within the place bound
+    return _bounded(value)
 
 
 def _plain(text: str) -> str:

@@ -1,10 +1,11 @@
 """The evaluation of one dataset, the exact identities it satisfies, and the report's bytes.
 
-`report` and `check` share one evaluation and one list of exact identities (trapezoid
+`report` and `check` share one evaluation and one table of exact identities (trapezoid
 area = balanced Stieltjes integral, strict pair probability = right-limit integral, area -
-probability = tie correction in [0, 1/2], no shared score iff area = probability). A
-RocReport raises on the first that fails, before anything is emitted; `identity_suite`
-returns each as a row.
+probability = tie correction in [0, 1/2], no shared score iff area = probability). Each
+evaluated row carries its exact sides, and its detail text is rendered only where printed:
+a RocReport renders the first that fails, in the IdentityError it raises before anything is
+emitted; `identity_suite` renders every row.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ class RocReport(_Frozen):
     __slots__ = _fields = tuple(__annotations__)
 
     def _check(self) -> None:
-        for name, ok, detail in _identities(self):
+        for (name, layout), ok, sides in _identities(self):
             if not ok:
-                raise IdentityError(f"RocReport: {name}: {detail}")
+                raise IdentityError(f"RocReport: {name}: {_detail(layout, sides)}")
 
 
 def _evaluate(d: Dataset) -> SimpleNamespace:
@@ -70,42 +71,39 @@ def _evaluate(d: Dataset) -> SimpleNamespace:
     )
 
 
-# The names of the exact identities every evaluation satisfies, in `_identities`' order.
-_IDENTITIES = (
-    "trapezoid area = balanced Stieltjes integral",
-    "strict pair probability = right-limit Stieltjes integral",
-    "area - pair probability = tie correction",
-    "0 <= correction <= bound <= 1/2",
-    "no cross-class tie iff area = pair probability",
+# `check`'s rows in output order: each identity's name and the layout of its detail
+_ROWS = (
+    ("trapezoid area = balanced Stieltjes integral", "{} vs {}"),
+    ("strict pair probability = right-limit Stieltjes integral", "{} vs {}"),
+    ("fast pair count = sorted-merge pair count", "{} vs {}"),
+    ("area - pair probability = tie correction", "{} vs {}"),
+    ("0 <= correction <= bound <= 1/2", "correction {}, bound {}"),
+    ("no cross-class tie iff area = pair probability",
+     "hypothesis {}, shared {}, auc {}, pair {}"),
+    ("count table = tally of the raw columns", "distinct scores {}{}"),
 )
-_MERGE_ROW = "fast pair count = sorted-merge pair count"  # `check`'s third row
+_AREA, _STRICT, _MERGE, _GAP, _CHAIN, _NO_TIE, _TABLE = _ROWS
 
 
-def _identities(r: RocReport | SimpleNamespace) -> list[tuple[str, bool, str]]:
-    """The exact identities every evaluation satisfies; (name, passed, detail) rows."""
+def _detail(layout: str, sides: tuple) -> str:
+    """A row's detail: its layout filled in with its sides, each Fraction as `_frac` writes it."""
+    return layout.format(*(_frac(v) if isinstance(v, Fraction) else v for v in sides))
+
+
+def _identities(r: RocReport | SimpleNamespace, merged: Rational | None = None) -> Iterator:
+    """Each exact identity of an evaluation, in `_ROWS` order: ((name, layout), passed, sides).
+
+    The sorted-merge row comes only with `merged`, the pair probability of `check`'s own side.
+    """
     auc, pair, tie = r.auc, r.pair_probability, r.tie
-    area, strict, gap, chain, no_tie = _IDENTITIES
-    return [
-        _equal(area, auc, r.balanced_integral),
-        _equal(strict, pair, r.right_integral),
-        _equal(gap, auc - pair, tie.correction),
-        (
-            chain,
-            0 <= tie.correction <= tie.bound <= Fraction(1, 2),
-            f"correction {_frac(tie.correction)}, bound {_frac(tie.bound)}",
-        ),
-        (
-            no_tie,
-            r.hypothesis_holds == (not tie.shared_scores) == (auc == pair),
-            f"hypothesis {r.hypothesis_holds}, shared {len(tie.shared_scores)}, "
-            f"auc {_frac(auc)}, pair {_frac(pair)}",
-        ),
-    ]
-
-
-def _equal(name: str, a: Rational, b: Rational) -> tuple[str, bool, str]:
-    """The identity row `name`: a == b, with both exact sides as its detail."""
-    return name, a == b, f"{_frac(a)} vs {_frac(b)}"
+    yield _AREA, auc == r.balanced_integral, (auc, r.balanced_integral)
+    yield _STRICT, pair == r.right_integral, (pair, r.right_integral)
+    if merged is not None:
+        yield _MERGE, pair == merged, (pair, merged)
+    yield _GAP, auc - pair == tie.correction, (auc - pair, tie.correction)
+    yield _CHAIN, 0 <= tie.correction <= tie.bound <= Fraction(1, 2), (tie.correction, tie.bound)
+    no_tie = r.hypothesis_holds == (not tie.shared_scores) == (auc == pair)
+    yield _NO_TIE, no_tie, (r.hypothesis_holds, len(tie.shared_scores), auc, pair)
 
 
 def run_report(d: Dataset) -> RocReport:
@@ -254,16 +252,13 @@ def identity_suite(d: Dataset) -> list[tuple[str, bool, str]]:
     except ValueError as error:
         if table_row[1]:
             raise
-        failed = f"not evaluated: {error}"
-        rows = [(name, False, failed) for name in _IDENTITIES]
-        rows.insert(2, (_MERGE_ROW, False, failed))
+        rows = [((name, "not evaluated: {}"), False, (error,)) for name, _ in _ROWS[:-1]]
     else:
-        rows = _identities(e)
-        rows.insert(2, _equal(_MERGE_ROW, e.pair_probability, Fraction(wins, d.n_pos * d.n_neg)))
-    return [*rows, table_row]
+        rows = _identities(e, Fraction(wins, d.n_pos * d.n_neg))
+    return [(name, ok, _detail(layout, sides)) for (name, layout), ok, sides in (*rows, table_row)]
 
 
-def _tally_side(d: Dataset) -> tuple[tuple[str, bool, str], int]:
+def _tally_side(d: Dataset) -> tuple[tuple, int]:
     """`check`'s side apart from the count table: the table's certificate row, and the wins W.
 
     Each class tally is sorted on its own and each run of equal neighbours summed by ==, so
@@ -297,5 +292,4 @@ def _tally_side(d: Dataset) -> tuple[tuple[str, bool, str], int]:
             below += negatives[i][1]
             i += 1
         wins += a * below
-    detail = f"distinct scores {len(t.scores)}" + "".join(f", {c} disagrees" for c in wrong)
-    return ("count table = tally of the raw columns", not wrong, detail), wins
+    return (_TABLE, not wrong, (len(t.scores), "".join(f", {c} disagrees" for c in wrong))), wins

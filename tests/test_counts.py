@@ -25,7 +25,6 @@ from exactroc import (
 )
 from exactroc.cli import main
 from exactroc.report import _tally_side, emit_report, identity_suite, run_report
-from exactroc.core import Tally
 from exactroc.pairwise import hypothesis_holds, pair_probability_bruteforce
 from exactroc.stieltjes import rate_step_function
 from oracles import fpr_at, left_limit, right_limit, rows, tpr_at
@@ -189,16 +188,6 @@ def test_the_tally_is_the_rows(rs, seed):
         for tau in map(Fraction, ("-1", "-3/4", "0", "1/8", "1/4", "1/2", "3/4", "1", "2")):
             assert tpr_at(d, tau) == Fraction(sum(s >= tau for s in pos), len(pos))
             assert fpr_at(d, tau) == Fraction(sum(s >= tau for s in neg), len(neg))
-
-
-def test_parse_input_keeps_one_tally_entry_per_data_line():
-    d = parse_input("0.5,1\n1/2,1\n0.5,1\n0.5,0\n 0.5,0\n0.1,0\n")
-    assert d.pos_tally == Tally((Fraction(1, 2), Fraction(1, 2)), (2, 1))
-    assert d.neg_tally == Tally((Fraction(1, 2), Fraction(1, 2), Fraction(1, 10)), (1, 1, 1))
-    # " 0.5,0" and "0.5,0" are two entries, each its score read from its own line, equal
-    # in value; the count table merges all four entries of 1/2 into one row
-    assert d.neg_tally.scores[0] == d.neg_tally.scores[1] == Decimal("0.5")
-    assert d.counts[:3] == ((Fraction(1, 10), Fraction(1, 2)), (0, 3), (1, 2))
 
 
 # Mixed spellings of one value (0.35, 7/20), both zeros, exponents near the cap, and

@@ -26,6 +26,7 @@ from exactroc import (
 )
 from exactroc.core import Dataset
 from exactroc.pairwise import TieReport
+import exactroc.report as report_module
 from exactroc.report import RocReport, emit_curve_svg
 from cases import COUNTEREXAMPLE_CSV, DATA, MIXED_CSV, REPORT_FIELDS, REPORT_TEXT
 from datagen import random_dataset
@@ -202,6 +203,19 @@ def test_identity_suite_all_pass_on_examples(monkeypatch):
         rows = identity_suite(parse_input(text))
         assert len(rows) == workloads.CHECK_ROWS
         assert all(ok for _, ok, _ in rows)
+
+
+def test_identity_rows_are_rendered_only_where_printed(monkeypatch):
+    # a report that passes prints no row, so it formats no exact side; `check` prints all seven
+    d = parse_input((DATA / "nondyadic.csv").read_text(encoding="utf-8"))
+    rendered = []
+    frac = report_module._frac
+    monkeypatch.setattr(report_module, "_frac", lambda q: rendered.append(q) or frac(q))
+    run_report(d)
+    assert rendered == []
+    rows = identity_suite(d)
+    lines = [f"{'ok  ' if ok else 'FAIL'}  {name} ({detail})" for name, ok, detail in rows]
+    assert lines == (DATA / "nondyadic_check.txt").read_text(encoding="utf-8").splitlines()
 
 
 def test_run_report_matches_dataset_built_directly():
